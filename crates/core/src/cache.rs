@@ -506,15 +506,14 @@ impl DfaCache {
             }
         }
         self.dfa_misses.fetch_add(1, Ordering::Relaxed);
-        let mut built = false;
-        let out = Arc::clone(slot.get_or_init(|| {
-            built = true;
-            self.timed_build(|| traceset_dfa(u, ts, sigma, pred_depth))
-        }));
-        if built {
-            if let (Some(store), Some(dk)) = (self.store.get(), &disk_key) {
-                store.put(dk, &out);
-            }
+        let out = Arc::clone(
+            slot.get_or_init(|| self.timed_build(|| traceset_dfa(u, ts, sigma, pred_depth))),
+        );
+        // The claimer writes through even when a concurrent caller won the
+        // build above while this thread was probing the disk: only the
+        // claimer ever writes a key, so each key is written once.
+        if let (Some(store), Some(dk)) = (self.store.get(), &disk_key) {
+            store.put(dk, &out);
         }
         out
     }
@@ -552,15 +551,10 @@ impl DfaCache {
         }
         self.lift_misses.fetch_add(1, Ordering::Relaxed);
         let base = self.traceset_dfa(u, ts, alpha, pred_depth);
-        let mut built = false;
-        let out = Arc::clone(slot.get_or_init(|| {
-            built = true;
-            self.timed_build(|| base.lift_to(sigma_big))
-        }));
-        if built {
-            if let (Some(store), Some(dk)) = (self.store.get(), &disk_key) {
-                store.put(dk, &out);
-            }
+        let out = Arc::clone(slot.get_or_init(|| self.timed_build(|| base.lift_to(sigma_big))));
+        // Written by the claimer only, as in `traceset_dfa`.
+        if let (Some(store), Some(dk)) = (self.store.get(), &disk_key) {
+            store.put(dk, &out);
         }
         out
     }

@@ -1,14 +1,23 @@
 //! Minimal self-contained JSON support for the pospec workspace.
 //!
-//! The workspace serialises three things: experiment-report rows
-//! (`paper_report.json`), JSON-lines trace files, and round-trip tests
-//! over both.  That needs a value model with *insertion-ordered*
-//! objects (so written field order matches struct declaration order, as
-//! derived serde serialisers produce), a compact writer, a pretty
-//! writer, and a strict parser — nothing else, and no derive machinery.
+//! This crate is the wire codec of `pospec serve` (newline-delimited
+//! JSON over TCP) and `pospec lsp` (JSON-RPC bodies), and it also writes
+//! report rows (`paper_report.json`) and JSON-lines trace files.  It
+//! offers a value model with *insertion-ordered* objects (so written
+//! field order matches struct declaration order, as derived serde
+//! serialisers produce), a compact writer, a pretty writer, and a strict
+//! parser — nothing else, and no derive machinery.
+//!
+//! Two properties matter on the wire:
+//!
+//! * decoding is linear in the input size: string bodies are copied a
+//!   run at a time up to the next `"` or `\`;
+//! * [`Value::write_line`] renders a whole record first and hands it to
+//!   the writer with a single `write_all`, so an unbuffered socket is
+//!   not written once per token and per string character.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// An ordered JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,7 +79,7 @@ impl Value {
     /// Compact one-line rendering (no spaces), `serde_json::to_string` style.
     pub fn to_compact(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0).expect("String never fails to write");
+        self.write(&mut out, None, 0);
         out
     }
 
@@ -78,40 +87,23 @@ impl Value {
     /// `serde_json::to_string_pretty` style.
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, Some(2), 0).expect("String never fails to write");
+        self.write(&mut out, Some(2), 0);
         out
     }
 
-    /// Stream the compact rendering straight into an `io::Write` (a
-    /// socket, a file) without building an intermediate `String`.
-    pub fn to_writer<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        let mut adapter = IoFmt { inner: w, error: None };
-        match self.write(&mut adapter, None, 0) {
-            Ok(()) => Ok(()),
-            // fmt::Error carries no detail; recover the io error we stashed.
-            Err(_) => Err(adapter
-                .error
-                .unwrap_or_else(|| std::io::Error::other("formatter error while writing JSON"))),
-        }
-    }
-
-    /// Stream the compact rendering plus a trailing `\n` — one record of
+    /// Write the compact rendering plus a trailing `\n` — one record of
     /// a JSON-lines stream (the wire format of `pospec-serve` and the
-    /// trace files).
+    /// trace files) — with a single `write_all`.
     pub fn write_line<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        self.to_writer(w)?;
-        w.write_all(b"\n")
+        let mut line = self.to_compact();
+        line.push('\n');
+        w.write_all(line.as_bytes())
     }
 
-    fn write<W: fmt::Write>(
-        &self,
-        out: &mut W,
-        indent: Option<usize>,
-        level: usize,
-    ) -> fmt::Result {
+    fn write(&self, out: &mut String, indent: Option<usize>, level: usize) {
         match self {
-            Value::Null => out.write_str("null"),
-            Value::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Num(n) => write_number(out, *n),
             Value::Str(s) => write_string(out, s),
             Value::Arr(items) => write_seq(out, indent, level, '[', ']', items.len(), |out, i| {
@@ -120,10 +112,10 @@ impl Value {
             Value::Obj(fields) => {
                 write_seq(out, indent, level, '{', '}', fields.len(), |out, i| {
                     let (k, v) = &fields[i];
-                    write_string(out, k)?;
-                    out.write_char(':')?;
+                    write_string(out, k);
+                    out.push(':');
                     if indent.is_some() {
-                        out.write_char(' ')?;
+                        out.push(' ');
                     }
                     v.write(out, indent, level + 1)
                 })
@@ -132,54 +124,35 @@ impl Value {
     }
 }
 
-/// Adapts `io::Write` to `fmt::Write`, stashing the first io error
-/// (`fmt::Error` itself is unit-like).
-struct IoFmt<'a, W: std::io::Write> {
-    inner: &'a mut W,
-    error: Option<std::io::Error>,
-}
-
-impl<W: std::io::Write> fmt::Write for IoFmt<'_, W> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.inner.write_all(s.as_bytes()).map_err(|e| {
-            self.error = Some(e);
-            fmt::Error
-        })
-    }
-}
-
-fn write_seq<W: fmt::Write>(
-    out: &mut W,
+fn write_seq(
+    out: &mut String,
     indent: Option<usize>,
     level: usize,
     open: char,
     close: char,
     len: usize,
-    mut item: impl FnMut(&mut W, usize) -> fmt::Result,
-) -> fmt::Result {
-    out.write_char(open)?;
+    mut item: impl FnMut(&mut String, usize),
+) {
+    out.push(open);
     if len == 0 {
-        return out.write_char(close);
+        out.push(close);
+        return;
     }
     for i in 0..len {
         if i > 0 {
-            out.write_char(',')?;
+            out.push(',');
         }
         if let Some(w) = indent {
-            out.write_char('\n')?;
-            for _ in 0..w * (level + 1) {
-                out.write_char(' ')?;
-            }
+            out.push('\n');
+            out.extend(std::iter::repeat_n(' ', w * (level + 1)));
         }
-        item(out, i)?;
+        item(out, i);
     }
     if let Some(w) = indent {
-        out.write_char('\n')?;
-        for _ in 0..w * level {
-            out.write_char(' ')?;
-        }
+        out.push('\n');
+        out.extend(std::iter::repeat_n(' ', w * level));
     }
-    out.write_char(close)
+    out.push(close);
 }
 
 /// Write `n` so that writing, parsing, and writing again is
@@ -192,35 +165,38 @@ fn write_seq<W: fmt::Write>(
 /// * whole numbers of magnitude below 2^53 print as integers;
 /// * everything else uses Rust's shortest round-trip `Display`, whose
 ///   output `str::parse::<f64>` maps back to the identical bits.
-fn write_number<W: fmt::Write>(out: &mut W, n: f64) -> fmt::Result {
+fn write_number(out: &mut String, n: f64) {
+    // Writing into a `String` cannot fail, so the `fmt::Result`s are moot.
     if !n.is_finite() {
-        out.write_str("null")
+        out.push_str("null");
     } else if n == 0.0 {
         // Covers +0.0 and -0.0 uniformly.
-        out.write_char('0')
+        out.push('0');
     } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
-        out.write_fmt(format_args!("{}", n as i64))
+        let _ = write!(out, "{}", n as i64);
     } else {
-        out.write_fmt(format_args!("{n}"))
+        let _ = write!(out, "{n}");
     }
 }
 
-fn write_string<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
-    out.write_char('"')?;
+fn write_string(out: &mut String, s: &str) {
+    out.push('"');
     for c in s.chars() {
         match c {
-            '"' => out.write_str("\\\"")?,
-            '\\' => out.write_str("\\\\")?,
-            '\n' => out.write_str("\\n")?,
-            '\r' => out.write_str("\\r")?,
-            '\t' => out.write_str("\\t")?,
-            '\u{08}' => out.write_str("\\b")?,
-            '\u{0C}' => out.write_str("\\f")?,
-            c if (c as u32) < 0x20 => out.write_fmt(format_args!("\\u{:04x}", c as u32))?,
-            c => out.write_char(c)?,
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            '\u{08}' => out.push_str("\\b"),
+            '\u{0C}' => out.push_str("\\f"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
         }
     }
-    out.write_char('"')
+    out.push('"');
 }
 
 /// Parse failure with byte position.
@@ -240,18 +216,18 @@ impl std::error::Error for JsonError {}
 
 /// Parse a complete JSON document (trailing whitespace allowed).
 pub fn parse(input: &str) -> Result<Value, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { src: input, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.src.len() {
         return Err(p.err("trailing characters after JSON value"));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
@@ -260,8 +236,12 @@ impl Parser<'_> {
         JsonError { pos: self.pos, message: message.to_string() }
     }
 
+    fn rest(&self) -> &[u8] {
+        &self.src.as_bytes()[self.pos..]
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.rest().first().copied()
     }
 
     fn skip_ws(&mut self) {
@@ -280,7 +260,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.rest().starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -352,65 +332,72 @@ impl Parser<'_> {
         }
     }
 
+    /// A string literal.  The input is a `&str`, and `"` and `\` are
+    /// ASCII, so every run between them is valid UTF-8 that is copied
+    /// with one `push_str`: the work is linear in the literal's length.
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
+            let Some(run) = self.rest().iter().position(|b| matches!(b, b'"' | b'\\')) else {
+                self.pos = self.src.len();
+                return Err(self.err("unterminated string"));
+            };
+            s.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run;
+            if self.peek() == Some(b'"') {
+                self.pos += 1;
+                return Ok(s);
+            }
+            self.pos += 1;
+            let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
+            self.pos += 1;
+            match esc {
+                b'"' => s.push('"'),
+                b'\\' => s.push('\\'),
+                b'/' => s.push('/'),
+                b'b' => s.push('\u{08}'),
+                b'f' => s.push('\u{0C}'),
+                b'n' => s.push('\n'),
+                b'r' => s.push('\r'),
+                b't' => s.push('\t'),
+                b'u' => {
+                    let code = self.hex4()?;
+                    s.push(self.unicode_scalar(code).unwrap_or('\u{FFFD}'));
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'b' => s.push('\u{08}'),
-                        b'f' => s.push('\u{0C}'),
-                        b'n' => s.push('\n'),
-                        b'r' => s.push('\r'),
-                        b't' => s.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed by this
-                            // workspace's identifiers; map them to U+FFFD.
-                            s.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let ch = std::str::from_utf8(rest).ok().and_then(|t| t.chars().next()).or_else(
-                        || {
-                            std::str::from_utf8(&rest[..rest.len().min(4)])
-                                .ok()
-                                .and_then(|t| t.chars().next())
-                        },
-                    );
-                    match ch {
-                        Some(c) => {
-                            s.push(c);
-                            self.pos += c.len_utf8();
-                        }
-                        None => return Err(self.err("invalid UTF-8 in string")),
-                    }
-                }
+                _ => return Err(self.err("unknown escape")),
             }
         }
+    }
+
+    /// Resolve the code unit of a `\uXXXX` escape to a scalar.  A high
+    /// surrogate followed by a `\u` low surrogate combines with it into
+    /// one non-BMP scalar; an unpaired half yields `None` (the caller
+    /// substitutes U+FFFD) and leaves any following escape unread.
+    fn unicode_scalar(&mut self, code: u32) -> Option<char> {
+        if (0xD800..0xDC00).contains(&code) && self.rest().starts_with(b"\\u") {
+            let high = self.pos;
+            self.pos += 2;
+            match self.hex4() {
+                Ok(low @ 0xDC00..0xE000) => {
+                    return char::from_u32(0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00));
+                }
+                _ => self.pos = high,
+            }
+        }
+        char::from_u32(code)
+    }
+
+    /// Four hex digits of a `\u` escape.
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let code = self
+            .src
+            .get(self.pos..self.pos + 4)
+            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+            .and_then(|h| u32::from_str_radix(h, 16).ok())
+            .ok_or_else(|| self.err("bad \\u escape"))?;
+        self.pos += 4;
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<Value, JsonError> {
@@ -436,7 +423,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.src[start..self.pos];
         text.parse::<f64>().map(Value::Num).map_err(|_| self.err("invalid number"))
     }
 }
@@ -624,21 +611,33 @@ mod tests {
     }
 
     #[test]
-    fn to_writer_matches_to_compact_and_write_line_appends_newline() {
+    fn surrogate_pairs_combine_and_unpaired_halves_become_replacement() {
+        // U+1F980 escaped as a UTF-16 pair decodes to the one scalar.
+        assert_eq!(parse(r#""\uD83E\uDD80""#).unwrap(), Value::Str("🦀".into()));
+        assert_eq!(parse(r#""a\ud83e\udd80b""#).unwrap(), Value::Str("a🦀b".into()));
+        // Unpaired halves keep U+FFFD, and whatever follows is read as usual.
+        assert_eq!(parse(r#""\uD83Ex""#).unwrap(), Value::Str("\u{FFFD}x".into()));
+        assert_eq!(parse(r#""\uDD80\uD83E""#).unwrap(), Value::Str("\u{FFFD}\u{FFFD}".into()));
+        assert_eq!(parse(r#""\uD83E\u0041""#).unwrap(), Value::Str("\u{FFFD}A".into()));
+        assert_eq!(parse(r#""\uD83E\uD83E\uDD80""#).unwrap(), Value::Str("\u{FFFD}🦀".into()));
+        // A malformed escape after a high half is still an error.
+        assert!(parse(r#""\uD83E\uZZZZ""#).is_err());
+        assert!(parse(r#""\u+041""#).is_err());
+    }
+
+    #[test]
+    fn write_line_matches_to_compact_plus_newline() {
         let v = ObjBuilder::new()
             .field("name", "Γ‖∆")
             .field("xs", Value::Arr(vec![Value::Num(1.5), Value::Null]))
             .build();
-        let mut buf = Vec::new();
-        v.to_writer(&mut buf).unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap(), v.to_compact());
         let mut line = Vec::new();
         v.write_line(&mut line).unwrap();
         assert_eq!(String::from_utf8(line).unwrap(), v.to_compact() + "\n");
     }
 
     #[test]
-    fn to_writer_surfaces_io_errors() {
+    fn write_line_surfaces_io_errors() {
         struct Broken;
         impl std::io::Write for Broken {
             fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
@@ -648,7 +647,7 @@ mod tests {
                 Ok(())
             }
         }
-        let err = Value::Bool(true).to_writer(&mut Broken).unwrap_err();
+        let err = Value::Bool(true).write_line(&mut Broken).unwrap_err();
         assert!(err.to_string().contains("disk on fire"));
     }
 }

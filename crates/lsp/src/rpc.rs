@@ -18,8 +18,13 @@ pub mod code {
     pub const INVALID_DURING_SHUTDOWN: i64 = -32600;
 }
 
+/// The largest `Content-Length` a frame may declare.  A larger claim is
+/// refused with `InvalidData` before any body buffer is allocated.
+pub const MAX_CONTENT_LENGTH: usize = 64 << 20;
+
 /// Read one framed message.  Returns `Ok(None)` on clean end-of-input
-/// (EOF before any header byte), an error on a torn frame.
+/// (EOF before any header byte), an error on a torn frame.  Header names
+/// match case-insensitively, as in HTTP.
 pub fn read_message(reader: &mut impl BufRead) -> io::Result<Option<Value>> {
     let mut content_length: Option<usize> = None;
     let mut line = String::new();
@@ -40,19 +45,24 @@ pub fn read_message(reader: &mut impl BufRead) -> io::Result<Option<Value>> {
             }
             continue; // stray blank line between frames
         }
-        if let Some(rest) = trimmed
-            .strip_prefix("Content-Length:")
-            .or_else(|| trimmed.strip_prefix("content-length:"))
-        {
-            content_length = Some(rest.trim().parse::<usize>().map_err(|e| {
-                io::Error::new(io::ErrorKind::InvalidData, format!("bad Content-Length: {e}"))
-            })?);
+        if let Some((name, value)) = trimmed.split_once(':') {
+            if name.trim().eq_ignore_ascii_case("Content-Length") {
+                content_length = Some(value.trim().parse::<usize>().map_err(|e| {
+                    io::Error::new(io::ErrorKind::InvalidData, format!("bad Content-Length: {e}"))
+                })?);
+            }
         }
         // Other headers (Content-Type) are ignored per the spec.
     }
     let len = content_length.ok_or_else(|| {
         io::Error::new(io::ErrorKind::InvalidData, "frame without Content-Length")
     })?;
+    if len > MAX_CONTENT_LENGTH {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("Content-Length {len} exceeds the {MAX_CONTENT_LENGTH} byte limit"),
+        ));
+    }
     let mut body = vec![0u8; len];
     reader.read_exact(&mut body)?;
     let text = String::from_utf8(body)
@@ -138,6 +148,35 @@ mod tests {
     fn torn_frame_is_an_error() {
         let mut cursor = Cursor::new(b"Content-Length: 10\r\n\r\n{}".to_vec());
         assert!(read_message(&mut cursor).is_err());
+    }
+
+    #[test]
+    fn header_names_match_case_insensitively() {
+        for header in ["CONTENT-LENGTH: 2", "content-length:2", "Content-length : 2"] {
+            let bytes = format!("{header}\r\n\r\n{{}}").into_bytes();
+            let msg = read_message(&mut Cursor::new(bytes)).unwrap();
+            assert_eq!(msg, Some(Value::Obj(vec![])), "header {header:?}");
+        }
+    }
+
+    #[test]
+    fn oversized_content_length_is_refused_before_allocating() {
+        let mut cursor = Cursor::new(b"Content-Length: 1099511627776\r\n\r\n{}".to_vec());
+        let err = read_message(&mut cursor).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("1099511627776"), "{err}");
+        // The limit itself is still accepted as a declaration.
+        let at_limit = format!("Content-Length: {MAX_CONTENT_LENGTH}\r\n\r\n{{}}");
+        let err = read_message(&mut Cursor::new(at_limit.into_bytes())).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "torn, not refused");
+    }
+
+    #[test]
+    fn surrogate_escaped_frame_reads_back_as_its_utf8_twin() {
+        let read = |body: &str| read_message(&mut Cursor::new(frame(body))).unwrap().unwrap();
+        let escaped = read(r#"{"text":"a\uD83E\uDD80b"}"#);
+        assert_eq!(escaped, read(r#"{"text":"a🦀b"}"#));
+        assert_eq!(escaped.get("text").and_then(Value::as_str), Some("a🦀b"));
     }
 
     #[test]

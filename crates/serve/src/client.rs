@@ -8,7 +8,7 @@
 use crate::retry::{request_idempotent, RetryPolicy};
 use pospec_json::Value;
 use std::cell::Cell;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -86,9 +86,7 @@ impl Client {
 
     /// Send one request object and wait for its response object.
     pub fn call(&mut self, request: &Value) -> Result<Value, ClientError> {
-        request.to_writer(&mut self.writer)?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        request.write_line(&mut self.writer)?;
         let mut line = String::new();
         if self.reader.read_line(&mut line)? == 0 {
             return Err(ClientError::Disconnected);

@@ -26,7 +26,7 @@ use pospec_core::{
     PersistentStore, Specification, Verdict,
 };
 use pospec_json::{ObjBuilder, Value};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -209,7 +209,7 @@ impl Server {
                                 self.shared.max_conns
                             ),
                         );
-                        let _ = write_line(&mut stream, &refusal);
+                        let _ = refusal.write_line(&mut stream);
                         continue;
                     }
                     self.shared.metrics.connection();
@@ -325,7 +325,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
                     "deadline",
                     &format!("connection idle for {timeout_ms} ms; closing"),
                 );
-                let _ = write_line(&mut writer, &notice);
+                let _ = notice.write_line(&mut writer);
                 break;
             }
             Err(LineError::TooLong) => {
@@ -338,7 +338,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
                         shared.max_line_bytes
                     ),
                 );
-                let _ = write_line(&mut writer, &refusal);
+                let _ = refusal.write_line(&mut writer);
                 break;
             }
             Err(LineError::Io) => break, // peer went away mid-line
@@ -348,19 +348,13 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
             continue;
         }
         let response = handle_line(&line, shared);
-        if write_line(&mut writer, &response).is_err() {
+        if response.write_line(&mut writer).is_err() {
             break;
         }
         if shared.stopping.load(Ordering::SeqCst) {
             break;
         }
     }
-}
-
-fn write_line(w: &mut TcpStream, v: &Value) -> std::io::Result<()> {
-    v.to_writer(w)?;
-    w.write_all(b"\n")?;
-    w.flush()
 }
 
 /// Decode and dispatch one request line, producing the response value.
