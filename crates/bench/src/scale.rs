@@ -190,8 +190,10 @@ pub struct ScalePoint {
     pub warm_ms: f64,
     /// Cache hits scored by the warm pass alone.
     pub warm_hits: u64,
-    /// Peak resident set (`VmHWM`) after the point, in KiB; 0 where
-    /// `/proc/self/status` is unavailable.
+    /// Peak resident set (`VmHWM`) reached during the point, in KiB; 0
+    /// where `/proc/self/status` is unavailable.  The mark is reset before
+    /// each point where `/proc/self/clear_refs` allows it; elsewhere it
+    /// is the process-lifetime peak.
     pub peak_rss_kb: u64,
     /// Every checker verdict equalled the manifest's expectation, cold
     /// and warm.
@@ -276,6 +278,13 @@ fn expectation_matches(expect: &pospec_gen::ExpectRefine, v: &pospec_core::Verdi
     )
 }
 
+/// Reset `VmHWM` to the current resident set, so the next
+/// [`peak_rss_kb`] reads the peak since this call.  A no-op where
+/// `/proc/self/clear_refs` is unavailable.
+fn reset_peak_rss() {
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
+}
+
 fn peak_rss_kb() -> u64 {
     std::fs::read_to_string("/proc/self/status")
         .ok()
@@ -302,6 +311,7 @@ pub fn run_scale(sizes: &[usize]) -> ScaleCampaign {
 
     let mut points = Vec::new();
     for &n in sizes {
+        reset_peak_rss();
         let config = pospec_gen::GenConfig::new(pospec_gen::Family::Ring, n, 8);
         let t0 = Instant::now();
         let scenario = pospec_gen::generate(&config).expect("valid config generates");

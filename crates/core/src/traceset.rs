@@ -48,7 +48,10 @@ pub enum TraceSet {
         /// The predicate `P` itself.
         pred: Arc<dyn Fn(&Trace) -> bool + Send + Sync>,
     },
-    /// Intersection of trace sets.
+    /// Intersection of trace sets.  Its [`TraceSet::Predicate`]
+    /// conjuncts share one trie in the automaton view (see
+    /// [`traceset_dfa`]), asked in declaration order like
+    /// [`TraceSet::contains`].
     Conj(Arc<Vec<TraceSet>>),
     /// The observable trace set of a composition (Def. 4/11).
     Composed(Arc<ComposedSet>),
@@ -340,6 +343,14 @@ impl TraceSet {
 /// The view is exact for [`TraceSet::is_regular`] backends; opaque
 /// predicates are unfolded into a prefix trie up to `pred_depth` (exact up
 /// to that depth, rejecting beyond it).
+///
+/// The predicate conjuncts of a [`TraceSet::Conj`] unfold as **one** trie
+/// whose membership test is their conjunction: the conjuncts are asked in
+/// declaration order and the test stops at the first refusal, as
+/// [`TraceSet::contains`] does.  The other conjuncts are intersected with
+/// that trie.  A product of tries is the trie of the intersection, so this
+/// is the automaton the per-conjunct tries would multiply out to, without
+/// unfolding each predicate over the whole alphabet first.
 pub fn traceset_dfa(
     u: &pospec_alphabet::Universe,
     ts: &TraceSet,
@@ -360,8 +371,21 @@ pub fn traceset_dfa(
             ConcreteDfa::from_membership(sigma, pred_depth, move |h| pred(h))
         }
         TraceSet::Conj(parts) => {
-            let mut acc = ConcreteDfa::universal(Arc::clone(&sigma));
-            for p in parts.iter() {
+            let preds: Vec<_> = parts
+                .iter()
+                .filter_map(|p| match p {
+                    TraceSet::Predicate { pred, .. } => Some(pred),
+                    _ => None,
+                })
+                .collect();
+            let mut acc = if preds.is_empty() {
+                ConcreteDfa::universal(Arc::clone(&sigma))
+            } else {
+                ConcreteDfa::from_membership(Arc::clone(&sigma), pred_depth, |h| {
+                    preds.iter().all(|p| p(h))
+                })
+            };
+            for p in parts.iter().filter(|p| !matches!(p, TraceSet::Predicate { .. })) {
                 acc = acc.intersect(&traceset_dfa(u, p, Arc::clone(&sigma), pred_depth));
             }
             acc

@@ -11,11 +11,19 @@
 //! validated semantically: the witness is a member of the concrete trace
 //! set whose projection onto the abstract alphabet escapes the abstract
 //! trace set.
+//!
+//! The predicate conjuncts of a conjunction unfold as one shared trie;
+//! the minimized result must be the very table the per-conjunct
+//! construction (one trie per conjunct, then products) yields.
 
 use pospec::prelude::*;
 use pospec_bench::paper::Paper;
 use pospec_check::{Arena, SpecGen};
-use pospec_core::{check_refinement_cached, DfaCache, Verdict};
+use pospec_core::{check_refinement_cached, traceset_dfa, DfaCache, Verdict};
+use pospec_regex::{ConcreteDfa, TObj};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 const DEPTH: usize = 6;
 
@@ -187,4 +195,164 @@ fn generated_trace_suites_agree_with_verdicts() {
         }
     }
     assert!(checked > 0, "suites should exercise at least one holding pair");
+}
+
+type Pred = Arc<dyn Fn(&Trace) -> bool + Send + Sync>;
+
+fn pred_of(ts: &TraceSet) -> Pred {
+    match ts {
+        TraceSet::Predicate { pred, .. } => Arc::clone(pred),
+        other => panic!("not a predicate: {other:?}"),
+    }
+}
+
+/// The per-conjunct construction: every predicate unfolds as its own
+/// trie and a conjunction is the product of its conjuncts' automata.
+fn per_conjunct_oracle(
+    u: &Universe,
+    ts: &TraceSet,
+    sigma: &Arc<Vec<Event>>,
+    depth: usize,
+) -> ConcreteDfa {
+    match ts {
+        TraceSet::Predicate { pred, .. } => {
+            ConcreteDfa::from_membership(Arc::clone(sigma), depth, |h| pred(h))
+        }
+        TraceSet::Conj(parts) => {
+            parts.iter().fold(ConcreteDfa::universal(Arc::clone(sigma)), |acc, p| {
+                acc.intersect(&per_conjunct_oracle(u, p, sigma, depth))
+            })
+        }
+        other => traceset_dfa(u, other, Arc::clone(sigma), depth),
+    }
+}
+
+/// Minimized, `traceset_dfa` and the oracle must give the same table.
+fn assert_matches_oracle(
+    tag: &str,
+    u: &Universe,
+    ts: &TraceSet,
+    sigma: &Arc<Vec<Event>>,
+    depth: usize,
+) {
+    let got = traceset_dfa(u, ts, Arc::clone(sigma), depth).minimize();
+    let want = per_conjunct_oracle(u, ts, sigma, depth).minimize();
+    assert_eq!(got.alphabet(), want.alphabet(), "{tag}: alphabet");
+    assert_eq!(got.start_state(), want.start_state(), "{tag}: start state");
+    assert_eq!(got.rows(), want.rows(), "{tag}: transition table");
+    assert_eq!(got.accepting_mask(), want.accepting_mask(), "{tag}: accepting mask");
+}
+
+#[test]
+fn paper_conjunction_tries_equal_per_conjunct_products() {
+    let p = Paper::new();
+    for spec in [p.rw(), p.rw2_predicate()] {
+        let sigma = Arc::new(spec.alphabet().enumerate_concrete());
+        for depth in 0..=4 {
+            let tag = format!("{}@{depth}", spec.name());
+            assert_matches_oracle(&tag, &p.u, spec.trace_set(), &sigma, depth);
+        }
+    }
+}
+
+/// A seeded counting predicate over two methods: `#a ≤ k`,
+/// `#a − #b ≤ k` or `#a − #b ≥ −k`; with `refuse_eps`, `#a − #b ≥ 1`,
+/// which refuses ε.
+fn counting_predicate(g: &mut SpecGen, refuse_eps: bool) -> TraceSet {
+    let methods = g.arena.methods.clone();
+    let a = methods[g.below(methods.len())];
+    let b = methods[g.below(methods.len())];
+    let k = g.below(3) as i64;
+    let diff = move |h: &Trace| h.count_method(a) as i64 - h.count_method(b) as i64;
+    if refuse_eps {
+        return TraceSet::predicate("#a−#b ≥ 1", move |h: &Trace| diff(h) >= 1);
+    }
+    match g.below(3) {
+        0 => TraceSet::predicate(format!("#a ≤ {k}"), move |h: &Trace| {
+            h.count_method(a) as i64 <= k
+        }),
+        1 => TraceSet::predicate(format!("#a−#b ≤ {k}"), move |h: &Trace| diff(h) <= k),
+        _ => TraceSet::predicate(format!("#a−#b ≥ −{k}"), move |h: &Trace| diff(h) >= -k),
+    }
+}
+
+#[test]
+fn seeded_conjunction_tries_equal_per_conjunct_products() {
+    let arena = Arena::new(1, 2);
+    let (u, env, o) = (Arc::clone(&arena.u), arena.env, arena.objs[0]);
+    let mut g = SpecGen::new(arena.clone(), 6104);
+    let alpha = arena
+        .methods
+        .iter()
+        .fold(EventSet::empty(&u), |acc, &m| acc.union(&EventPattern::call(env, o, m).to_set(&u)));
+    let sigma = Arc::new(alpha.enumerate_concrete());
+    assert!((2..=6).contains(&sigma.len()), "small alphabet, got {}", sigma.len());
+    let lits: Vec<Template> =
+        arena.methods.iter().map(|&m| Template::call(TObj::Class(env), o, m)).collect();
+    // 1–3 predicates; cases 5, 11 and 17 end with one refusing ε, odd
+    // cases mix in a `prs` conjunct, and most cases move a tail of the
+    // conjuncts into a nested `Conj`.
+    for i in 0..18 {
+        let n = 1 + i % 3;
+        let mut parts: Vec<TraceSet> =
+            (0..n).map(|j| counting_predicate(&mut g, i % 6 == 5 && j == n - 1)).collect();
+        if i % 2 == 1 {
+            let re = g.random_re(&lits, 4).star();
+            let at = g.below(parts.len() + 1);
+            parts.insert(at, TraceSet::prs(re));
+        }
+        if parts.len() >= 2 && i % 4 != 0 {
+            let inner = parts.split_off(g.below(parts.len() - 1) + 1);
+            let at = g.below(parts.len() + 1);
+            parts.insert(at, TraceSet::conj(inner));
+        }
+        let ts = TraceSet::conj(parts);
+        for depth in 0..=6 {
+            assert_matches_oracle(&format!("seed case {i} {ts:?}@{depth}"), &u, &ts, &sigma, depth);
+        }
+    }
+}
+
+#[test]
+fn conjunction_trie_asks_conjuncts_in_order_and_rarely() {
+    // `RW = P_RW1 ∧ P_RW2` at depth 4 with both conjuncts counted.  One
+    // trie per conjunct asks them 68,618 times; the shared trie asks
+    // P_RW2 only about traces P_RW1 has already accepted.
+    let p = Paper::new();
+    let (rw1, rw2) = (pred_of(&p.p_rw1()), pred_of(&p.p_rw2()));
+    let calls = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
+    let accepted = Arc::new(Mutex::new(HashSet::<Vec<Event>>::new()));
+    let unvetted = Arc::new(AtomicUsize::new(0));
+    let first = {
+        let (calls, accepted) = (Arc::clone(&calls), Arc::clone(&accepted));
+        TraceSet::predicate("counted P_RW1", move |h: &Trace| {
+            calls[0].fetch_add(1, Ordering::Relaxed);
+            let ok = rw1(h);
+            if ok {
+                accepted.lock().unwrap().insert(h.events().to_vec());
+            }
+            ok
+        })
+    };
+    let second = {
+        let (calls, accepted, unvetted) =
+            (Arc::clone(&calls), Arc::clone(&accepted), Arc::clone(&unvetted));
+        TraceSet::predicate("counted P_RW2", move |h: &Trace| {
+            calls[1].fetch_add(1, Ordering::Relaxed);
+            if !accepted.lock().unwrap().contains(h.events()) {
+                unvetted.fetch_add(1, Ordering::Relaxed);
+            }
+            rw2(h)
+        })
+    };
+    let sigma = Arc::new(p.rw().alphabet().enumerate_concrete());
+    traceset_dfa(&p.u, &TraceSet::conj([first, second]), sigma, 4);
+    let (n1, n2) = (calls[0].load(Ordering::Relaxed), calls[1].load(Ordering::Relaxed));
+    assert!(n1 + n2 < 4000, "P_RW1 asked {n1} times, P_RW2 {n2} times");
+    assert!(accepted.lock().unwrap().len() < n1, "P_RW1 refuses some trace at depth 4");
+    assert_eq!(
+        unvetted.load(Ordering::Relaxed),
+        0,
+        "P_RW2 asked about a trace P_RW1 had not accepted first"
+    );
 }
