@@ -103,7 +103,7 @@ fn chunk_fate(rates: ChaosRates, seed: u64, conn: u64, dir: u64, chunk: u64) -> 
 ///
 /// Listens on an ephemeral local port and forwards every accepted
 /// connection to `upstream`, one pump thread per direction, applying
-/// [`chunk_fate`] to each read chunk.  Dropping the proxy stops the
+/// `chunk_fate` to each read chunk.  Dropping the proxy stops the
 /// accept loop; in-flight pump threads die with their sockets.
 pub struct ChaosProxy {
     addr: SocketAddr,

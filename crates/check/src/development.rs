@@ -9,8 +9,10 @@
 //! re-establishes all obligations mechanically, yielding an audit report
 //! of which steps hold, with counterexamples for those that do not.
 
-use crate::refinement::{check_refinement_with, Strategy};
-use pospec_core::{compose, is_composable, is_proper_refinement, Component, Specification};
+use pospec_core::{
+    check_refinement_cached, compose, is_composable, is_proper_refinement, Component, DfaCache,
+    Specification, DEFAULT_PREDICATE_DEPTH,
+};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -74,19 +76,12 @@ pub struct Development {
     specs: BTreeMap<String, Specification>,
     components: BTreeMap<String, Component>,
     steps: Vec<Step>,
-    strategy: Strategy,
 }
 
 impl Development {
-    /// An empty development with the default checking strategy.
+    /// An empty development.
     pub fn new() -> Development {
         Development::default()
-    }
-
-    /// Override the refinement-checking strategy.
-    pub fn with_strategy(mut self, strategy: Strategy) -> Development {
-        self.strategy = strategy;
-        self
     }
 
     /// Register a specification under its own name.
@@ -179,18 +174,19 @@ impl Development {
 
     /// Re-verify every claimed obligation.
     ///
-    /// Refinement obligations go through [`check_refinement_with`], whose
-    /// exact strategy uses the process-wide `DfaCache`: a specification
-    /// appearing in many obligations (or across repeated `verify` calls)
-    /// is finitized and lifted once.
+    /// Refinement obligations go through [`check_refinement_cached`] at
+    /// [`DEFAULT_PREDICATE_DEPTH`], sharing one [`DfaCache`] per call: a
+    /// specification appearing in many obligations is finitized once.
+    /// Soundness obligations explore to the same depth.
     pub fn verify(&self) -> Vec<StepReport> {
+        let cache = DfaCache::new();
         let mut out = Vec::new();
         for step in &self.steps {
             match step {
                 Step::Refines { concrete, abstract_ } => {
                     let c = &self.specs[concrete];
                     let a = &self.specs[abstract_];
-                    let v = check_refinement_with(c, a, self.strategy);
+                    let v = check_refinement_cached(&cache, c, a, DEFAULT_PREDICATE_DEPTH);
                     out.push(StepReport {
                         obligation: format!("{concrete} ⊑ {abstract_}"),
                         holds: v.holds(),
@@ -205,7 +201,12 @@ impl Development {
                     let r = &self.specs[right];
                     if l.objects() == r.objects() {
                         for (part, label) in [(l, left), (r, right)] {
-                            let v = check_refinement_with(composed, part, self.strategy);
+                            let v = check_refinement_cached(
+                                &cache,
+                                composed,
+                                part,
+                                DEFAULT_PREDICATE_DEPTH,
+                            );
                             out.push(StepReport {
                                 obligation: format!("{name} ⊑ {label} (Lemma 6)"),
                                 holds: v.holds(),
@@ -223,11 +224,7 @@ impl Development {
                 Step::Sound { spec, component } => {
                     let s = &self.specs[spec];
                     let c = &self.components[component];
-                    let depth = match self.strategy {
-                        Strategy::Exact { pred_depth } => pred_depth,
-                        Strategy::Bounded { depth, .. } | Strategy::Auto { depth } => depth,
-                    };
-                    match c.check_soundness(s, depth) {
+                    match c.check_soundness(s, DEFAULT_PREDICATE_DEPTH) {
                         Ok(()) => out.push(StepReport {
                             obligation: format!("{spec} sound for {component}"),
                             holds: true,

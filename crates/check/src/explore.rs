@@ -231,6 +231,65 @@ mod tests {
         assert!(bounded_refinement_counterexample(&spec, &spec, 4, Parallelism::Threads).is_none());
     }
 
+    /// ABL1's pairs: a regular bracket protocol, and two counting
+    /// predicates over `OW` (at most three, at most one).
+    fn abl1_specs() -> (Specification, Specification, Specification) {
+        let mut b = UniverseBuilder::new();
+        let objects = b.object_class("Objects").unwrap();
+        let o = b.object("o").unwrap();
+        let ow = b.method("OW").unwrap();
+        let cw = b.method("CW").unwrap();
+        b.class_witnesses(objects, 1).unwrap();
+        let u = b.freeze();
+        let alpha_small = EventPattern::call(objects, o, ow).to_set(&u);
+        let alpha_big = alpha_small.union(&EventPattern::call(objects, o, cw).to_set(&u));
+        let x = VarId(0);
+        let brackets = Specification::new(
+            "Brackets",
+            [o],
+            alpha_big.clone(),
+            TraceSet::prs(
+                Re::seq([Re::lit(Template::call(x, o, ow)), Re::lit(Template::call(x, o, cw))])
+                    .bind(x, objects)
+                    .star(),
+            ),
+        )
+        .unwrap();
+        let too_much = Specification::new(
+            "TooMuch",
+            [o],
+            alpha_big,
+            TraceSet::predicate("≤3 OW", move |h: &Trace| h.count_method(ow) <= 3),
+        )
+        .unwrap();
+        let at_most_one = Specification::new(
+            "AtMostOne",
+            [o],
+            alpha_small,
+            TraceSet::predicate("≤1 OW", move |h: &Trace| h.count_method(ow) <= 1),
+        )
+        .unwrap();
+        (brackets, too_much, at_most_one)
+    }
+
+    /// ABL1: bounded falsification and the cached automaton engine give
+    /// the same holds/fails answer on a negative and a positive pair.
+    #[test]
+    fn bounded_search_agrees_with_the_cached_engine() {
+        let (brackets, too_much, at_most_one) = abl1_specs();
+        let cache = pospec_core::DfaCache::new();
+        for (concrete, abstract_, depth, holds) in
+            [(&too_much, &at_most_one, 6, false), (&brackets, &brackets, 5, true)]
+        {
+            let engine = pospec_core::check_refinement_cached(&cache, concrete, abstract_, depth);
+            for par in [Parallelism::Sequential, Parallelism::Threads] {
+                let bounded = bounded_refinement_counterexample(concrete, abstract_, depth, par);
+                assert_eq!(bounded.is_none(), engine.holds(), "{}: {par:?}", concrete.name());
+            }
+            assert_eq!(engine.holds(), holds, "{} ⊑ {}", concrete.name(), abstract_.name());
+        }
+    }
+
     #[test]
     fn deadlock_detection_bounded() {
         let f = fix();

@@ -8,8 +8,8 @@
 //! * [`explore`] — bounded enumeration of trace sets over the finitized
 //!   alphabet, sequential or data-parallel (OS threads), with deadlock
 //!   detection and bounded refinement falsification;
-//! * [`refinement`] — a strategy layer over `pospec-core`'s exact
-//!   automaton check and the bounded explorer, with cross-validation;
+//! * [`refinement`] — human-readable explanations of `pospec-core`'s
+//!   refinement verdicts;
 //! * [`gen`] — seeded random generation of universes, alphabets, regular
 //!   trace sets and specifications, including *refinements-by-construction*
 //!   (exact projections), so that theorem premises are sampled densely;
@@ -39,7 +39,7 @@ pub use explore::{
 };
 pub use gen::{Arena, SpecGen};
 pub use liveness::{quiescence, QuiescenceReport};
-pub use refinement::{check_refinement_with, explain_verdict, strategies_agree, Strategy};
+pub use refinement::explain_verdict;
 pub use report::{ExperimentRecord, Outcome};
 pub use testgen::{transition_cover, TestSuite};
 pub use theorems::TheoremOutcome;

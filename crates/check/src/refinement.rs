@@ -1,93 +1,11 @@
-//! Strategy layer for refinement checking.
+//! Human-readable refinement verdicts.
 //!
-//! Two complementary procedures decide Def.-2 condition 3:
-//!
-//! * **Exact** — `pospec-core`'s automaton inclusion over the canonical
-//!   finitization, served through the process-wide [`DfaCache`] so that
-//!   repeated checks against stable specifications reuse their automata:
-//!   a decision procedure for regular backends, exact up to the
-//!   predicate-trie depth otherwise;
-//! * **Bounded** — direct enumeration of `T(Γ′)` members with projection
-//!   checking: a sound falsifier for *any* backend, complete only up to
-//!   its depth.
-//!
-//! [`Strategy::Auto`] picks Exact for regular trace sets and Bounded
-//! otherwise.  [`strategies_agree`] cross-validates the two (the ablation
-//! of DESIGN.md §6.3).
+//! Verdicts come from `pospec-core`: [`pospec_core::check_refinement_cached`]
+//! through a caller-owned [`pospec_core::DfaCache`], or the eager
+//! [`pospec_core::check_refinement`].  This module renders them with
+//! universe names and the offending projection.
 
-use crate::explore::{bounded_refinement_counterexample, Parallelism};
-use pospec_core::refine::FailedCondition;
-use pospec_core::{
-    check_refinement_cached, refinement_conditions, DfaCache, Specification, Verdict,
-};
-
-/// Which decision procedure to use for condition 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strategy {
-    /// Automaton inclusion over the finitization (`pred_depth` bounds
-    /// predicate tries).
-    Exact {
-        /// Trie depth for opaque predicates.
-        pred_depth: usize,
-    },
-    /// Bounded enumeration with projection checking.
-    Bounded {
-        /// Maximum member length explored.
-        depth: usize,
-        /// Parallel or sequential frontier expansion.
-        par: Parallelism,
-    },
-    /// Exact for regular backends, bounded otherwise.
-    Auto {
-        /// Trie/exploration depth.
-        depth: usize,
-    },
-}
-
-impl Default for Strategy {
-    fn default() -> Self {
-        Strategy::Auto { depth: pospec_core::DEFAULT_PREDICATE_DEPTH }
-    }
-}
-
-/// Check `concrete ⊑ abstract_` under the chosen strategy.
-pub fn check_refinement_with(
-    concrete: &Specification,
-    abstract_: &Specification,
-    strategy: Strategy,
-) -> Verdict {
-    match strategy {
-        Strategy::Exact { pred_depth } => {
-            check_refinement_cached(DfaCache::global(), concrete, abstract_, pred_depth)
-        }
-        Strategy::Bounded { depth, par } => {
-            let conds = refinement_conditions(concrete, abstract_);
-            if !conds.objects_ok {
-                return Verdict::Fails { reason: FailedCondition::Objects, counterexample: None };
-            }
-            if !conds.alphabet_ok {
-                return Verdict::Fails { reason: FailedCondition::Alphabet, counterexample: None };
-            }
-            match bounded_refinement_counterexample(concrete, abstract_, depth, par) {
-                Some(cex) => {
-                    Verdict::Fails { reason: FailedCondition::Traces, counterexample: Some(cex) }
-                }
-                None => Verdict::Holds { exact: false },
-            }
-        }
-        Strategy::Auto { depth } => {
-            if concrete.trace_set().is_regular() && abstract_.trace_set().is_regular() {
-                check_refinement_cached(DfaCache::global(), concrete, abstract_, depth)
-            } else {
-                check_refinement_with(
-                    concrete,
-                    abstract_,
-                    Strategy::Bounded { depth, par: Parallelism::Threads },
-                )
-            }
-        }
-    }
-}
+use pospec_core::{Specification, Verdict};
 
 /// A human-readable explanation of a refinement verdict, rendering the
 /// counterexample with universe names and showing the offending
@@ -145,121 +63,5 @@ pub fn explain_verdict(
                 abstract_.name()
             ),
         },
-    }
-}
-
-/// Cross-validation: do the exact and bounded strategies deliver the same
-/// holds/fails answer on this pair?
-pub fn strategies_agree(concrete: &Specification, abstract_: &Specification, depth: usize) -> bool {
-    let exact = check_refinement_with(concrete, abstract_, Strategy::Exact { pred_depth: depth });
-    let bounded = check_refinement_with(
-        concrete,
-        abstract_,
-        Strategy::Bounded { depth, par: Parallelism::Sequential },
-    );
-    exact.holds() == bounded.holds()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pospec_alphabet::{EventPattern, UniverseBuilder};
-    use pospec_core::TraceSet;
-    use pospec_regex::{Re, Template, VarId};
-    use pospec_trace::Trace;
-
-    fn setup() -> (Specification, Specification, Specification) {
-        let mut b = UniverseBuilder::new();
-        let objects = b.object_class("Objects").unwrap();
-        let o = b.object("o").unwrap();
-        let ow = b.method("OW").unwrap();
-        let cw = b.method("CW").unwrap();
-        b.class_witnesses(objects, 1).unwrap();
-        let u = b.freeze();
-        let alpha_small = EventPattern::call(objects, o, ow).to_set(&u);
-        let alpha_big = alpha_small.union(&EventPattern::call(objects, o, cw).to_set(&u));
-        let x = VarId(0);
-        let abstract_ =
-            Specification::new("Top", [o], alpha_small.clone(), TraceSet::Universal).unwrap();
-        let concrete = Specification::new(
-            "Brackets",
-            [o],
-            alpha_big.clone(),
-            TraceSet::prs(
-                Re::seq([Re::lit(Template::call(x, o, ow)), Re::lit(Template::call(x, o, cw))])
-                    .bind(x, objects)
-                    .star(),
-            ),
-        )
-        .unwrap();
-        let ow2 = ow;
-        let non_refinement = Specification::new(
-            "TooMuch",
-            [o],
-            alpha_big,
-            TraceSet::predicate("≤3 OW", move |h: &Trace| h.count_method(ow2) <= 3),
-        )
-        .unwrap();
-        let restricted_abs = Specification::new(
-            "AtMostOne",
-            [o],
-            alpha_small,
-            TraceSet::predicate("≤1 OW", move |h: &Trace| h.count_method(ow2) <= 1),
-        )
-        .unwrap();
-        let _ = abstract_;
-        (concrete, non_refinement, restricted_abs)
-    }
-
-    #[test]
-    fn auto_picks_exact_for_regular() {
-        let (concrete, _, _) = setup();
-        let v = check_refinement_with(&concrete, &concrete, Strategy::default());
-        assert!(matches!(v, Verdict::Holds { exact: true }));
-    }
-
-    #[test]
-    fn bounded_finds_the_same_failures_as_exact() {
-        let (_, non_refinement, restricted_abs) = setup();
-        // non_refinement allows 3 OWs, restricted_abs only 1: fails.
-        let exact = check_refinement_with(
-            &non_refinement,
-            &restricted_abs,
-            Strategy::Exact { pred_depth: 6 },
-        );
-        let bounded = check_refinement_with(
-            &non_refinement,
-            &restricted_abs,
-            Strategy::Bounded { depth: 6, par: Parallelism::Sequential },
-        );
-        assert!(!exact.holds());
-        assert!(!bounded.holds());
-        assert!(strategies_agree(&non_refinement, &restricted_abs, 6));
-    }
-
-    #[test]
-    fn strategies_agree_on_positive_cases() {
-        let (concrete, _, _) = setup();
-        assert!(strategies_agree(&concrete, &concrete, 5));
-    }
-
-    #[test]
-    fn bounded_reports_static_failures_without_search() {
-        let (concrete, non_refinement, _) = setup();
-        // concrete's alphabet equals non_refinement's; swap roles so the
-        // alphabet condition fails: abstract bigger than concrete.
-        let v = check_refinement_with(
-            &{
-                // restrict concrete's alphabet to OW only
-                let alpha = concrete.alphabet().clone();
-                let _ = alpha;
-                concrete.clone()
-            },
-            &non_refinement,
-            Strategy::Bounded { depth: 3, par: Parallelism::Sequential },
-        );
-        // Same alphabets here; this is a trace-level comparison instead:
-        // Brackets ⊑ TooMuch? projections keep ≤3 OW up to depth 3: holds.
-        assert!(v.holds());
     }
 }

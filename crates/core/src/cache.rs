@@ -6,13 +6,16 @@
 //! building the automaton view of a trace set ([`traceset_dfa`]), and
 //! lifting that view to a larger alphabet (`lift_to`).  The meta-theory
 //! suite and `paper_report` issue hundreds of near-identical queries, so
-//! [`DfaCache`] interns all three — extending the per-instance `OnceLock`
-//! memoization of [`ComposedSet`](crate::ComposedSet) to a query-keyed
-//! map shared by every check.
+//! [`DfaCache`] interns all three in query-keyed maps.  There is no
+//! process-wide instance: every caller owns its cache and passes it to
+//! the checks that should share it.  A composition's automaton is built
+//! from the cache's own lifts of its operands (lift → product → erase),
+//! at the depth of the query, so a specification taking part in several
+//! compositions is finitized and lifted once per cache.
 //!
 //! Keys are **structural wherever the backend permits**:
 //!
-//! * an alphabet is interned to a dense [`AlphaId`] keyed by its universe
+//! * an alphabet is interned to a dense `AlphaId` keyed by its universe
 //!   identity plus its exact granule set (granules are canonical, so
 //!   structurally equal `EventSet`s rebuilt by different callers share
 //!   one id, one enumeration, and one `Arc` — making downstream alphabet
@@ -245,12 +248,6 @@ impl DfaCache {
         DfaCache::default()
     }
 
-    /// The process-wide shared cache.
-    pub fn global() -> &'static DfaCache {
-        static GLOBAL: OnceLock<DfaCache> = OnceLock::new();
-        GLOBAL.get_or_init(DfaCache::new)
-    }
-
     /// Attach a persistent on-disk store: content-keyed automata built
     /// from now on are written through (atomically), and probes for
     /// entries the store already holds are served from disk instead of
@@ -468,6 +465,26 @@ impl DfaCache {
         Arc::new(min)
     }
 
+    /// Build the automaton of `ts` over `sigma` on a miss.  A composition
+    /// is the product of this cache's lifts of its operands with the
+    /// hidden events erased; the lifts are fetched before the timer
+    /// starts, since each counts under its own build.
+    fn build_dfa(
+        &self,
+        u: &Arc<Universe>,
+        ts: &TraceSet,
+        sigma: Arc<Vec<Event>>,
+        pred_depth: usize,
+    ) -> Arc<ConcreteDfa> {
+        let TraceSet::Composed(c) = ts else {
+            return self.timed_build(|| traceset_dfa(u, ts, sigma, pred_depth));
+        };
+        let joint = c.joint_alphabet();
+        let left = self.lifted_dfa(u, c.left.trace_set(), c.left.alphabet(), &joint, pred_depth);
+        let right = self.lifted_dfa(u, c.right.trace_set(), c.right.alphabet(), &joint, pred_depth);
+        self.timed_build(|| c.observable_dfa(&left, &right).restrict_to(sigma))
+    }
+
     fn record_otf(&self, otf: OtfOutcome) {
         self.otf_checks.fetch_add(1, Ordering::Relaxed);
         if otf.early_exit {
@@ -478,7 +495,7 @@ impl DfaCache {
 
     /// The automaton view of `ts` over the finitization of `alpha`,
     /// interned and minimized.  Language-equal to [`traceset_dfa`] on a
-    /// miss.
+    /// miss; a composition is built from this cache's operand lifts.
     pub fn traceset_dfa(
         &self,
         u: &Arc<Universe>,
@@ -491,9 +508,7 @@ impl DfaCache {
         let sigma = self.alphabet(alpha);
         if !inserted {
             self.dfa_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(
-                slot.get_or_init(|| self.timed_build(|| traceset_dfa(u, ts, sigma, pred_depth))),
-            );
+            return Arc::clone(slot.get_or_init(|| self.build_dfa(u, ts, sigma, pred_depth)));
         }
         // First in-memory sight of this key: try the persistent store
         // before paying for a build, and write through afterwards.
@@ -506,9 +521,7 @@ impl DfaCache {
             }
         }
         self.dfa_misses.fetch_add(1, Ordering::Relaxed);
-        let out = Arc::clone(
-            slot.get_or_init(|| self.timed_build(|| traceset_dfa(u, ts, sigma, pred_depth))),
-        );
+        let out = Arc::clone(slot.get_or_init(|| self.build_dfa(u, ts, sigma, pred_depth)));
         // The claimer writes through even when a concurrent caller won the
         // build above while this thread was probing the disk: only the
         // claimer ever writes a key, so each key is written once.

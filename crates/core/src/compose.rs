@@ -264,6 +264,47 @@ mod tests {
         assert!(!observable_deadlock(&composed), "projection avoids the deadlock");
     }
 
+    /// A composition's automaton is built at the depth it is asked for,
+    /// with and without a cache: the lift, product and erase of the
+    /// operand automata at that depth.
+    #[test]
+    fn composition_automata_follow_the_query_depth() {
+        let f = fix();
+        let w = f.w;
+        let counting = Specification::new(
+            "≤7 W",
+            [f.o],
+            write_acc(&f).alphabet().clone(),
+            TraceSet::predicate("≤7 W", move |h: &Trace| h.count_method(w) <= 7),
+        )
+        .unwrap();
+        let composed = compose(&counting, &client(&f)).unwrap();
+        let (u, ts, alpha) = (&f.u, composed.trace_set(), composed.alphabet());
+        let TraceSet::Composed(c) = ts else { panic!("compose builds a composition") };
+        let sigma = Arc::new(alpha.enumerate_concrete());
+        let joint = Arc::new(c.left.alphabet().union(c.right.alphabet()).enumerate_concrete());
+        let cache = crate::DfaCache::new();
+        let mut expected = Vec::new();
+        for depth in [2, 6] {
+            let lift = |s: &Specification| {
+                let own = Arc::new(s.alphabet().enumerate_concrete());
+                traceset_dfa(u, s.trace_set(), own, depth).lift_to(Arc::clone(&joint))
+            };
+            let want = lift(&c.left)
+                .intersect(&lift(&c.right))
+                .erase(|e| c.hidden.contains(e))
+                .restrict_to(Arc::clone(&sigma));
+            let cached = cache.traceset_dfa(u, ts, alpha, depth);
+            let free = traceset_dfa(u, ts, Arc::clone(&sigma), depth);
+            assert!(cached.equiv(&want), "cached composition at depth {depth}");
+            assert!(free.equiv(&want), "uncached composition at depth {depth}");
+            expected.push(want);
+        }
+        // Client's W must be matched by one of the predicate side's, so
+        // at most `depth` OKs are observable: the depth shows.
+        assert!(!expected[0].equiv(&expected[1]));
+    }
+
     #[test]
     fn strong_hiding_covers_unseen_events() {
         let f = fix();

@@ -85,15 +85,17 @@ impl TraceSet {
     ///
     /// For [`TraceSet::Predicate`], the largest-prefix-closed-subset
     /// semantics is enforced: all prefixes must satisfy the predicate.
-    /// For [`TraceSet::Composed`], membership is decided via the cached
-    /// composition automaton (exact over the canonical finitization).
+    /// For [`TraceSet::Composed`], membership is decided by the
+    /// composition's memoized membership automaton (exact over the
+    /// canonical finitization, predicate tries at
+    /// [`DEFAULT_PREDICATE_DEPTH`]).
     pub fn contains(&self, u: &pospec_alphabet::Universe, h: &Trace) -> bool {
         match self {
             TraceSet::Universal => true,
             TraceSet::Prs(re) => re.prs(u, h),
             TraceSet::Predicate { pred, .. } => h.prefixes().all(|p| pred(&p)),
             TraceSet::Conj(parts) => parts.iter().all(|t| t.contains(u, h)),
-            TraceSet::Composed(c) => c.dfa().contains_trace(h),
+            TraceSet::Composed(c) => c.membership_dfa().contains_trace(h),
             TraceSet::Dfa(d) => d.contains_trace(h),
         }
     }
@@ -147,19 +149,23 @@ impl fmt::Debug for TraceSet {
     }
 }
 
-/// The trace set of a composition `Γ‖∆`, with a lazily-built automaton
-/// over the canonical finitization.
+/// The trace set of a composition `Γ‖∆`.  Its automaton is built from
+/// the operand automata lifted to the joint alphabet, by whoever asks:
+/// a [`crate::DfaCache`] from its own lifts, [`traceset_dfa`] without a
+/// cache.
 pub struct ComposedSet {
     /// The left operand `Γ`.
     pub left: Specification,
     /// The right operand `∆`.
     pub right: Specification,
-    /// The hidden events `I(O(Γ) ∪ O(∆))` intersected with the joint
-    /// alphabet.
+    /// The hidden events `I(O(Γ) ∪ O(∆))`, including those in neither
+    /// alphabet (the strong hiding of Def. 3).
     pub hidden: EventSet,
     /// The visible alphabet `α = (α(Γ) ∪ α(∆)) − I(O)`.
     pub visible: EventSet,
-    dfa: OnceLock<ConcreteDfa>,
+    /// The automaton behind [`TraceSet::contains`] and
+    /// [`TraceSetRunner`], built on first use.
+    membership: OnceLock<ConcreteDfa>,
 }
 
 impl ComposedSet {
@@ -169,41 +175,43 @@ impl ComposedSet {
         hidden: EventSet,
         visible: EventSet,
     ) -> Self {
-        ComposedSet { left, right, hidden, visible, dfa: OnceLock::new() }
+        ComposedSet { left, right, hidden, visible, membership: OnceLock::new() }
     }
 
-    /// The observable-language automaton of the composition, over the
-    /// canonical finitization of the visible alphabet: lift both component
-    /// automata to the joint alphabet, intersect, erase the hidden events.
-    ///
-    /// Component automata and their lifts come from the process-wide
-    /// [`crate::DfaCache`], so a specification taking part in several
-    /// compositions is finitized and lifted once; the product and the
-    /// erasure (which depend on this instance's hiding set) stay in the
-    /// per-instance `OnceLock`.
-    pub fn dfa(&self) -> &ConcreteDfa {
-        self.dfa.get_or_init(|| {
-            let cache = crate::cache::DfaCache::global();
-            let u = self.left.universe();
-            let joint_alpha = self.left.alphabet().union(self.right.alphabet());
-            let a = cache.lifted_dfa(
-                u,
-                self.left.trace_set(),
-                self.left.alphabet(),
-                &joint_alpha,
-                DEFAULT_PREDICATE_DEPTH,
-            );
-            let b = cache.lifted_dfa(
-                u,
-                self.right.trace_set(),
-                self.right.alphabet(),
-                &joint_alpha,
-                DEFAULT_PREDICATE_DEPTH,
-            );
-            let joint = a.intersect(&b);
-            let hidden = self.hidden.clone();
-            joint.erase(move |e| hidden.contains(e))
-        })
+    /// `α(Γ) ∪ α(∆)`, the alphabet both operands are lifted to.
+    pub(crate) fn joint_alphabet(&self) -> EventSet {
+        self.left.alphabet().union(self.right.alphabet())
+    }
+
+    /// The observable-language automaton of the composition, given both
+    /// operand automata lifted to the canonical finitization of
+    /// [`ComposedSet::joint_alphabet`]: their product with the hidden
+    /// events erased.
+    pub(crate) fn observable_dfa(&self, left: &ConcreteDfa, right: &ConcreteDfa) -> ConcreteDfa {
+        left.intersect(right).erase(|e| self.hidden.contains(e))
+    }
+
+    /// [`ComposedSet::observable_dfa`] over operand automata built without a
+    /// cache at `pred_depth`.  Each operand automaton and its lift are
+    /// minimized, as [`crate::DfaCache`] minimizes its entries, so the
+    /// product is the one the cache builds.
+    fn build(&self, pred_depth: usize) -> ConcreteDfa {
+        let u = self.left.universe();
+        let joint = Arc::new(self.joint_alphabet().enumerate_concrete());
+        let lift = |spec: &Specification| {
+            let sigma = Arc::new(spec.alphabet().enumerate_concrete());
+            traceset_dfa(u, spec.trace_set(), sigma, pred_depth)
+                .minimize()
+                .lift_to(Arc::clone(&joint))
+                .minimize()
+        };
+        self.observable_dfa(&lift(&self.left), &lift(&self.right))
+    }
+
+    /// The membership automaton: [`ComposedSet::build`] at
+    /// [`DEFAULT_PREDICATE_DEPTH`], memoized per instance.
+    fn membership_dfa(&self) -> &ConcreteDfa {
+        self.membership.get_or_init(|| self.build(DEFAULT_PREDICATE_DEPTH))
     }
 }
 
@@ -247,9 +255,10 @@ impl TraceSetRunner {
             TraceSet::Dfa(d) => {
                 RunnerState::Dfa { dfa: Arc::clone(d), state: Some(d.start_state()) }
             }
-            TraceSet::Composed(c) => {
-                RunnerState::Composed { set: Arc::clone(c), state: Some(c.dfa().start_state()) }
-            }
+            TraceSet::Composed(c) => RunnerState::Composed {
+                set: Arc::clone(c),
+                state: Some(c.membership_dfa().start_state()),
+            },
             TraceSet::Predicate { pred, .. } => {
                 RunnerState::Predicate { pred: Arc::clone(pred), seen: Vec::new() }
             }
@@ -269,7 +278,7 @@ impl TraceSetRunner {
             RunnerState::Conj(parts) => parts.iter().all(|p| !p.dead && p.currently_member()),
             RunnerState::Dfa { dfa, state } => state.map(|s| dfa.is_accepting(s)).unwrap_or(false),
             RunnerState::Composed { set, state } => {
-                state.map(|s| set.dfa().is_accepting(s)).unwrap_or(false)
+                state.map(|s| set.membership_dfa().is_accepting(s)).unwrap_or(false)
             }
             RunnerState::Predicate { pred, seen } => pred(&Trace::from_events(seen.clone())),
         }
@@ -304,7 +313,7 @@ impl TraceSetRunner {
                 state.map(|s| dfa.is_accepting(s)).unwrap_or(false)
             }
             RunnerState::Composed { set, state } => {
-                let dfa = set.dfa();
+                let dfa = set.membership_dfa();
                 *state = state.and_then(|s| {
                     dfa.alphabet().iter().position(|x| x == e).and_then(|sym| dfa.successor(s, sym))
                 });
@@ -351,6 +360,10 @@ impl TraceSet {
 /// that trie.  A product of tries is the trie of the intersection, so this
 /// is the automaton the per-conjunct tries would multiply out to, without
 /// unfolding each predicate over the whole alphabet first.
+///
+/// A [`TraceSet::Composed`] is built at `pred_depth` from operand
+/// automata built without a cache; [`crate::DfaCache::traceset_dfa`]
+/// builds the same automaton from the lifts it holds.
 pub fn traceset_dfa(
     u: &pospec_alphabet::Universe,
     ts: &TraceSet,
@@ -390,7 +403,7 @@ pub fn traceset_dfa(
             }
             acc
         }
-        TraceSet::Composed(c) => c.dfa().clone().restrict_to(sigma),
+        TraceSet::Composed(c) => c.build(pred_depth).restrict_to(sigma),
         TraceSet::Dfa(d) => d.as_ref().clone().restrict_to(sigma),
     }
 }

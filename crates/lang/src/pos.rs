@@ -1,6 +1,6 @@
 //! Byte-offset ⇄ UTF-16 position mapping.
 //!
-//! [`Span`](crate::lexer::Span) is byte-based (1-based line, 1-based
+//! [`Span`] is byte-based (1-based line, 1-based
 //! byte column, byte offset/length) because the lexer and the caret
 //! renderer work on `&str` slices.  The Language Server Protocol
 //! instead addresses text by 0-based line and **UTF-16 code-unit**

@@ -48,11 +48,15 @@ use pospec_lang::elab::elaborate_universe;
 use pospec_lang::parser::parse;
 use pospec_lang::ElabSession;
 
-/// Lint one `.pos` document using the process-wide automaton cache.
+/// Lint one `.pos` document through a fresh automaton cache.
 ///
 /// `file` is only used to label the report; `src` is the document text.
+/// A cache kept across calls would never hit: each call elaborates a new
+/// universe, and the cache keys alphabets by universe address.  Callers
+/// that re-lint one universe pass their cache to
+/// [`lint_document_session`].
 pub fn lint_document(file: &str, src: &str, config: &LintConfig) -> LintReport {
-    lint_document_cached(file, src, config, DfaCache::global())
+    lint_document_cached(file, src, config, &DfaCache::new())
 }
 
 /// Like [`lint_document`], with an explicit [`DfaCache`] (the server
@@ -235,6 +239,32 @@ spec S {
     fn a_clean_document_produces_no_diagnostics() {
         let r = lint(CLEAN);
         assert!(r.is_clean(), "unexpected: {:?}", r.diagnostics);
+    }
+
+    #[test]
+    fn compositions_are_built_from_the_passed_cache() {
+        let src = "\
+universe { class Env; object o; object b; method OP; method OK; witnesses Env 1; }
+spec S {
+  objects { o }
+  alphabet { <Env, o, OP>; <o, b, OP>; <b, o, OP>; }
+  traces prs (<o, b, OP> <b, o, OP>)*;
+}
+spec T {
+  objects { b }
+  alphabet { <Env, b, OK>; <o, b, OP>; <b, o, OP>; }
+  traces any;
+}
+development { compose ST from S with T; }
+";
+        let cache = DfaCache::new();
+        lint_document_cached("test.pos", src, &LintConfig::default(), &cache);
+        let s = cache.stats();
+        // Both operand lifts live in the passed cache, and they are lifts
+        // of the operand automata the per-spec passes built: S, T and ST
+        // are each built once.
+        assert_eq!(s.lift_misses, 2, "{s:?}");
+        assert_eq!(s.dfa_misses, 3, "{s:?}");
     }
 
     #[test]

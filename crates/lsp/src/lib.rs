@@ -3,7 +3,7 @@
 //! documents, built entirely from workspace crates.
 //!
 //! The transport is JSON-RPC 2.0 with `Content-Length` framing over
-//! stdio ([`rpc`]); JSON values are `pospec-json`'s [`Value`].  The
+//! stdio ([`rpc`]); JSON values are `pospec-json`'s [`Value`](pospec_json::Value).  The
 //! server ([`server::LspServer`]) keeps every open document in a
 //! [`pospec_serve::SpecRegistry`], which provides the two pieces of
 //! incrementality the editor loop needs:

@@ -72,10 +72,12 @@ pub fn read_message(reader: &mut impl BufRead) -> io::Result<Option<Value>> {
     Ok(Some(value))
 }
 
-/// Write one framed message.
+/// Write one framed message: the header and body are rendered into one
+/// buffer, handed to `writer` with a single `write_all`, then flushed.
 pub fn write_message(writer: &mut impl Write, message: &Value) -> io::Result<()> {
     let body = message.to_compact();
-    write!(writer, "Content-Length: {}\r\n\r\n{body}", body.len())?;
+    let frame = format!("Content-Length: {}\r\n\r\n{body}", body.len());
+    writer.write_all(frame.as_bytes())?;
     writer.flush()
 }
 
@@ -177,6 +179,37 @@ mod tests {
         let escaped = read(r#"{"text":"a\uD83E\uDD80b"}"#);
         assert_eq!(escaped, read(r#"{"text":"a🦀b"}"#));
         assert_eq!(escaped.get("text").and_then(Value::as_str), Some("a🦀b"));
+    }
+
+    /// Counts the `write` calls it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        let mut out = CountingWriter::default();
+        for name in ["x", "ému 🦀"] {
+            let msg = ObjBuilder::new().field("jsonrpc", "2.0").field("method", name).build();
+            let before = (out.writes, out.bytes.len());
+            write_message(&mut out, &msg).unwrap();
+            assert_eq!(out.writes, before.0 + 1, "one write per frame");
+            assert_eq!(out.bytes[before.1..], frame(&msg.to_compact())[..]);
+        }
     }
 
     #[test]

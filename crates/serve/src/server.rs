@@ -22,8 +22,8 @@ use crate::registry::SpecRegistry;
 use pospec_alphabet::display_trace;
 use pospec_core::refine::FailedCondition;
 use pospec_core::{
-    check_refinement_batch, check_refinement_cached, compose, observable_deadlock, DfaCache,
-    PersistentStore, Specification, Verdict,
+    check_refinement_batch, check_refinement_cached, compose, DfaCache, PersistentStore,
+    Specification, Verdict, DEFAULT_PREDICATE_DEPTH,
 };
 use pospec_json::{ObjBuilder, Value};
 use std::io::{BufRead, BufReader};
@@ -563,7 +563,15 @@ fn execute(envelope: &Envelope, shared: &Arc<Shared>) -> Value {
                         .field("objects", composed.objects().len())
                         .field("alphabet_granules", composed.alphabet().granule_count());
                     if *deadlock {
-                        b = b.field("deadlocked", observable_deadlock(&composed));
+                        // Through the server's cache, which holds the
+                        // operand lifts for the next compose as well.
+                        let dfa = shared.cache.traceset_dfa(
+                            composed.universe(),
+                            composed.trace_set(),
+                            composed.alphabet(),
+                            DEFAULT_PREDICATE_DEPTH,
+                        );
+                        b = b.field("deadlocked", dfa.accepts_only_epsilon());
                     }
                     ok_response(id, "compose", b.build())
                 }

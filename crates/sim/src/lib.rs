@@ -13,7 +13,7 @@
 //!   message deliveries and spontaneous steps, producing the communication
 //!   trace of the run;
 //! * [`threaded`] — a genuinely concurrent runtime (one thread per object,
-//!   crossbeam channels, a linearizing shared event log);
+//!   `std::sync::mpsc` channels, a linearizing shared event log);
 //! * [`fault`] — deterministic fault injection: a seeded [`FaultPlan`]
 //!   consulted at each send decides (as a pure function of message
 //!   identity) whether to drop, duplicate, or delay the message or crash

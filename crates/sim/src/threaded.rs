@@ -1,10 +1,10 @@
 //! A genuinely concurrent actor runtime.
 //!
-//! One OS thread per object, crossbeam channels for remote calls, and a
-//! shared linearizing event log (`parking_lot::Mutex`): the order in which
-//! call events enter the log is the run's communication trace.  The event
-//! is logged by the *sender* at send time, which matches the trace
-//! semantics (a remote call is one observable event, not a
+//! One OS thread per object, `std::sync::mpsc` channels for remote calls,
+//! and a shared linearizing event log behind a `std::sync::Mutex`: the
+//! order in which call events enter the log is the run's communication
+//! trace.  The event is logged by the *sender* at send time, which matches
+//! the trace semantics (a remote call is one observable event, not a
 //! send/receive pair — the paper models asynchrony by splitting a call
 //! into two *events of different methods* when needed, cf. Example 1's
 //! footnote).
@@ -25,14 +25,13 @@
 use crate::behavior::{Action, ObjectBehavior};
 use crate::fault::{FaultDecision, FaultKind, FaultLog, FaultPlan, FaultRecord};
 use crate::run::{RunConfig, RunOutcome, StopReason};
-use crossbeam_channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use pospec_trace::{Arg, Event, MethodId, ObjectId, Trace};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -45,6 +44,12 @@ enum Msg {
     },
     /// Spontaneous-step request.
     Tick,
+}
+
+/// Lock `m`; a worker that panicked while holding it does not poison it
+/// for the others.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A message parked by a `Delay` fault, due for delivery at `due`.
@@ -74,11 +79,11 @@ impl Shared {
     /// The fault-log position counter: records are stamped with the log
     /// length at injection time.
     fn now_at(&self) -> u64 {
-        self.log.lock().len() as u64
+        lock(&self.log).len() as u64
     }
 
     fn record(&self, r: FaultRecord) {
-        self.faults.lock().push(r);
+        lock(&self.faults).push(r);
     }
 
     /// Consult the fault plan, then record and forward one call; returns
@@ -89,7 +94,7 @@ impl Shared {
         }
         if !self.plan.is_fault_free() {
             let seq = {
-                let mut m = self.pair_seq.lock();
+                let mut m = lock(&self.pair_seq);
                 let e = m.entry((from, action.to)).or_insert(0);
                 let s = *e;
                 *e += 1;
@@ -115,7 +120,7 @@ impl Shared {
                         action.to,
                         action.method,
                     ));
-                    self.delayed.lock().push(Parked {
+                    lock(&self.delayed).push(Parked {
                         due: Instant::now() + self.poll * steps,
                         from,
                         to: action.to,
@@ -146,7 +151,7 @@ impl Shared {
     /// budget is exhausted.
     fn deliver(&self, from: ObjectId, to: ObjectId, method: MethodId, arg: Arg) -> bool {
         if !self.plan.is_fault_free() {
-            let is_down = self.down.lock().get(&to).is_some_and(|&up| Instant::now() < up);
+            let is_down = lock(&self.down).get(&to).is_some_and(|&up| Instant::now() < up);
             if is_down {
                 self.record(FaultRecord::message(
                     self.now_at(),
@@ -159,7 +164,7 @@ impl Shared {
             }
         }
         {
-            let mut log = self.log.lock();
+            let mut log = lock(&self.log);
             if log.len() >= self.budget {
                 self.done.store(true, Ordering::Release);
                 return false;
@@ -176,7 +181,7 @@ impl Shared {
     /// whether any parked messages remain.
     fn flush_delayed(&self) -> bool {
         let (due, remain) = {
-            let mut parked = self.delayed.lock();
+            let mut parked = lock(&self.delayed);
             if parked.is_empty() {
                 return false;
             }
@@ -238,7 +243,7 @@ impl ThreadedRuntime {
         let mut senders = HashMap::new();
         let mut receivers: Vec<(Box<dyn ObjectBehavior>, Receiver<Msg>)> = Vec::new();
         for b in self.behaviors {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.insert(b.id(), tx);
             receivers.push((b, rx));
         }
@@ -270,8 +275,8 @@ impl ThreadedRuntime {
                     }
                     let msg = match rx.recv_timeout(poll) {
                         Ok(m) => m,
-                        Err(crossbeam_channel::RecvTimeoutError::Timeout) => Msg::Tick,
-                        Err(crossbeam_channel::RecvTimeoutError::Disconnected) => break,
+                        Err(RecvTimeoutError::Timeout) => Msg::Tick,
+                        Err(RecvTimeoutError::Disconnected) => break,
                     };
                     let actions = match msg {
                         Msg::Call { from, method, arg } => behavior.on_call(from, method, arg),
@@ -289,7 +294,7 @@ impl ThreadedRuntime {
                             // downtime (sends to us dead-letter), then
                             // come back with state intact.
                             let up_at = Instant::now() + downtime;
-                            shared.down.lock().insert(me, up_at);
+                            lock(&shared.down).insert(me, up_at);
                             shared.record(FaultRecord::lifecycle(
                                 shared.now_at(),
                                 FaultKind::Crash,
@@ -298,7 +303,7 @@ impl ThreadedRuntime {
                             while Instant::now() < up_at && !shared.done.load(Ordering::Acquire) {
                                 thread::sleep(poll);
                             }
-                            shared.down.lock().remove(&me);
+                            lock(&shared.down).remove(&me);
                             shared.record(FaultRecord::lifecycle(
                                 shared.now_at(),
                                 FaultKind::Restart,
@@ -318,7 +323,7 @@ impl ThreadedRuntime {
         let stop_reason = loop {
             thread::sleep(config.poll * 2);
             let pending = shared.flush_delayed();
-            let len = shared.log.lock().len();
+            let len = lock(&shared.log).len();
             if len >= config.max_events {
                 break StopReason::BudgetFilled;
             }
@@ -338,11 +343,11 @@ impl ThreadedRuntime {
         for h in handles {
             let _ = h.join();
         }
-        let mut log = shared.log.lock().clone();
+        let mut log = lock(&shared.log).clone();
         // Worker threads race the budget check; truncate so the trace is
         // deterministically bounded by the configured budget.
         log.truncate(config.max_events);
-        let fault_log = shared.faults.lock().clone();
+        let fault_log = lock(&shared.faults).clone();
         RunOutcome { trace: Trace::from_events(log), stop_reason, fault_log }
     }
 }

@@ -138,7 +138,7 @@ fn main() {
     let t3 = rt.run(60);
     report("run3", &t3, per_caller_spec(&wd));
 
-    println!("\n== run 4: real threads (crossbeam channels) ==");
+    println!("\n== run 4: real threads (mpsc channels) ==");
     let mut rt = ThreadedRuntime::new(7);
     rt.add_object(Box::new(PassiveServer::new(wd.o)));
     rt.add_object(Box::new(RwClient::new(wd.c1, wd.o, wd.m, wd.d)));

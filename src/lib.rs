@@ -112,9 +112,7 @@ pub mod prelude {
         admissible_alphabet, alpha_object, internal_between, internal_of_pair, internal_of_set,
         ArgSpec, EventPattern, EventSet, ObjSpec, Universe, UniverseBuilder,
     };
-    pub use pospec_check::{
-        check_refinement_with, enumerate_spec_traces, is_deadlocked_bounded, Parallelism, Strategy,
-    };
+    pub use pospec_check::{enumerate_spec_traces, is_deadlocked_bounded, Parallelism};
     pub use pospec_core::{
         check_refinement, compose, is_composable, is_proper_refinement, observable_deadlock,
         observable_equiv, refines, Component, SemanticObject, SpecError, Specification, TraceSet,
