@@ -283,10 +283,10 @@ fn main() {
         });
     }
 
-    // CACHE — the memoized automaton cache against the uncached path,
-    // on the full pairwise refinement matrix of the paper's
-    // specifications (PERF3 of EXPERIMENTS.md).  Its counters are the
-    // report's `"cache"` key.
+    // CACHE — the memoized automaton cache against the uncached path
+    // (`check_refinement`, one fresh cache per pair), on the full
+    // pairwise refinement matrix of the paper's specifications (PERF3 of
+    // EXPERIMENTS.md).  Its counters are the report's `"cache"` key.
     let cache_stats = {
         let specs = p.interface_specs();
         let t0 = Instant::now();

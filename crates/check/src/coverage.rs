@@ -9,7 +9,6 @@
 
 use pospec_core::{traceset_dfa, Specification};
 use pospec_trace::Trace;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// The result of a coverage measurement.
@@ -49,29 +48,11 @@ pub fn state_coverage(spec: &Specification, traces: &[Trace], pred_depth: usize)
     let sigma = Arc::new(spec.alphabet().enumerate_concrete());
     let dfa = traceset_dfa(u, spec.trace_set(), Arc::clone(&sigma), pred_depth);
 
-    // Reachable accepting states with shortest witnesses (BFS).
-    let mut reach: Vec<Option<Vec<pospec_trace::Event>>> = vec![None; dfa.state_count().max(1)];
-    let start = dfa.start_state();
-    let mut order = Vec::new();
-    if dfa.is_accepting(start) {
-        reach[start] = Some(Vec::new());
-        order.push(start);
-        let mut q = VecDeque::from([start]);
-        while let Some(s) = q.pop_front() {
-            for (sym, &e) in sigma.iter().enumerate() {
-                if let Some(t) = dfa.successor(s, sym) {
-                    if dfa.is_accepting(t) && reach[t].is_none() {
-                        let mut w = reach[s].clone().expect("visited");
-                        w.push(e);
-                        reach[t] = Some(w);
-                        order.push(t);
-                        q.push_back(t);
-                    }
-                }
-            }
-        }
-    }
+    // Reachable accepting states with shortest witnesses.
+    let mut prefixes = dfa.accepted_prefixes();
+    let order: Vec<usize> = prefixes.by_ref().collect();
     let total = order.len();
+    let start = dfa.start_state();
 
     // Walk the traces.
     let mut visited = vec![false; dfa.state_count().max(1)];
@@ -96,7 +77,7 @@ pub fn state_coverage(spec: &Specification, traces: &[Trace], pred_depth: usize)
         .iter()
         .filter(|&&s| !visited[s])
         .take(10)
-        .map(|&s| Trace::from_events(reach[s].clone().expect("reachable")))
+        .map(|&s| Trace::from_events(prefixes.word(s)))
         .collect();
     CoverageReport { visited: visited_count, total, gap_witnesses }
 }

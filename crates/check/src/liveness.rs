@@ -22,7 +22,6 @@
 
 use pospec_core::{traceset_dfa, Specification};
 use pospec_trace::Trace;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// The result of a quiescence analysis.
@@ -50,67 +49,38 @@ impl QuiescenceReport {
 /// finitization.
 ///
 /// For predicate-backed sets the analysis is depth-bounded: histories at
-/// the trie frontier are treated as extensible (`max_len` below guards
-/// the frontier), so `witness` is reliable while `is_perpetual` is
-/// "perpetual up to the depth".
+/// the trie frontier are treated as extensible (`frontier_guard` below),
+/// so `witness` is reliable while `is_perpetual` is "perpetual up to the
+/// depth".
 pub fn quiescence(spec: &Specification, pred_depth: usize) -> QuiescenceReport {
     let u = spec.universe();
     let sigma = Arc::new(spec.alphabet().enumerate_concrete());
-    let dfa = traceset_dfa(u, spec.trace_set(), Arc::clone(&sigma), pred_depth);
-    let mut quiescent = 0usize;
-    let mut reachable = 0usize;
-    let mut witness: Option<Trace> = None;
-    let mut initial_quiescent = false;
+    let dfa = traceset_dfa(u, spec.trace_set(), sigma, pred_depth);
     let frontier_guard = if spec.trace_set().is_regular() { usize::MAX } else { pred_depth };
-    let start = dfa.start_state();
-    if !dfa.is_accepting(start) {
-        // Empty trace set: vacuously perpetual.
-        return QuiescenceReport {
-            initial_quiescent: false,
-            reachable_states: 0,
-            quiescent_states: 0,
-            witness: None,
-        };
-    }
-    // BFS over reachable *accepting* automaton states (non-accepting
-    // states are not histories of the trace set), deduplicated by state
-    // id and carrying a shortest witness word per state.
-    let mut seen = vec![false; dfa.state_count().max(1)];
-    let mut q: VecDeque<(usize, Vec<pospec_trace::Event>)> = VecDeque::new();
-    seen[start] = true;
-    q.push_back((start, Vec::new()));
-    while let Some((state, word)) = q.pop_front() {
-        reachable += 1;
-        let mut extensible = false;
-        for (sym, &e) in sigma.iter().enumerate() {
-            if let Some(next) = dfa.successor(state, sym) {
-                if dfa.is_accepting(next) {
-                    extensible = true;
-                    if !seen[next] {
-                        seen[next] = true;
-                        let mut w2 = word.clone();
-                        w2.push(e);
-                        q.push_back((next, w2));
-                    }
-                }
-            }
+    // Reachable *accepting* states (non-accepting states are not histories
+    // of the trace set), each with its shortest witness word; an empty
+    // trace set has none and is vacuously perpetual.
+    let mut prefixes = dfa.accepted_prefixes();
+    let mut report = QuiescenceReport {
+        initial_quiescent: false,
+        reachable_states: 0,
+        quiescent_states: 0,
+        witness: None,
+    };
+    while let Some(state) = prefixes.next() {
+        report.reachable_states += 1;
+        if dfa.can_continue(state) {
+            continue;
         }
-        if !extensible && word.len() < frontier_guard {
-            quiescent += 1;
-            if word.is_empty() {
-                initial_quiescent = true;
-            }
-            if witness.is_none() {
-                witness = Some(Trace::from_events(word.clone()));
-            }
+        let word = prefixes.word(state);
+        if word.len() >= frontier_guard {
+            continue;
         }
+        report.quiescent_states += 1;
+        report.initial_quiescent |= word.is_empty();
+        report.witness.get_or_insert_with(|| Trace::from_events(word));
     }
-    QuiescenceReport {
-        initial_quiescent,
-        reachable_states: reachable,
-        quiescent_states: quiescent,
-        witness,
-    }
+    report
 }
 
 #[cfg(test)]

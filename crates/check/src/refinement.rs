@@ -1,9 +1,10 @@
 //! Human-readable refinement verdicts.
 //!
-//! Verdicts come from `pospec-core`: [`pospec_core::check_refinement_cached`]
-//! through a caller-owned [`pospec_core::DfaCache`], or the eager
-//! [`pospec_core::check_refinement`].  This module renders them with
-//! universe names and the offending projection.
+//! Verdicts come from `pospec-core`'s one condition-3 engine:
+//! [`pospec_core::check_refinement_cached`] through a caller-owned
+//! [`pospec_core::DfaCache`], or [`pospec_core::check_refinement`]
+//! through a fresh one.  This module renders them with universe names
+//! and the offending projection.
 
 use pospec_core::{Specification, Verdict};
 

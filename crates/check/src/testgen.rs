@@ -12,8 +12,7 @@
 //! the tests).
 
 use pospec_core::{traceset_dfa, Specification};
-use pospec_trace::{Event, Trace};
-use std::collections::VecDeque;
+use pospec_trace::Trace;
 use std::sync::Arc;
 
 /// A generated covering suite.
@@ -36,39 +35,19 @@ pub fn transition_cover(spec: &Specification, pred_depth: usize) -> TestSuite {
     let u = spec.universe();
     let sigma = Arc::new(spec.alphabet().enumerate_concrete());
     let dfa = traceset_dfa(u, spec.trace_set(), Arc::clone(&sigma), pred_depth);
-    let start = dfa.start_state();
-    if !dfa.is_accepting(start) {
-        return TestSuite { traces: Vec::new(), transitions: 0 };
-    }
 
-    // Shortest witness per reachable accepting state.
-    let mut witness: Vec<Option<Vec<Event>>> = vec![None; dfa.state_count().max(1)];
-    witness[start] = Some(Vec::new());
-    let mut order = vec![start];
-    let mut q = VecDeque::from([start]);
-    while let Some(s) = q.pop_front() {
-        for (sym, &e) in sigma.iter().enumerate() {
-            if let Some(t) = dfa.successor(s, sym) {
-                if dfa.is_accepting(t) && witness[t].is_none() {
-                    let mut w = witness[s].clone().expect("visited");
-                    w.push(e);
-                    witness[t] = Some(w);
-                    order.push(t);
-                    q.push_back(t);
-                }
-            }
-        }
-    }
-
-    // One trace per accepting→accepting transition: path to source + edge.
+    // One trace per accepting→accepting transition out of a reachable
+    // accepting state: the shortest path to the source, then the edge.
+    let mut prefixes = dfa.accepted_prefixes();
     let mut traces = Vec::new();
     let mut transitions = 0;
-    for &s in &order {
+    while let Some(s) = prefixes.next() {
+        let path = prefixes.word(s);
         for (sym, &e) in sigma.iter().enumerate() {
             if let Some(t) = dfa.successor(s, sym) {
                 if dfa.is_accepting(t) {
                     transitions += 1;
-                    let mut w = witness[s].clone().expect("reachable");
+                    let mut w = path.clone();
                     w.push(e);
                     traces.push(Trace::from_events(w));
                 }

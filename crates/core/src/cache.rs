@@ -30,13 +30,14 @@
 //!
 //! Every automaton is **Hopcroft-minimized** before it is cached
 //! ([`ConcreteDfa::minimize`]), so products, lifts and inclusion walks
-//! downstream run on the smallest equivalent machines.  The cached
-//! refinement check itself never materializes the lifted abstract
-//! automaton: [`check_refinement_cached`] runs the **on-the-fly**
-//! inclusion engine (`pospec_regex::lazy_lifted_inclusion`), which
-//! explores the product `A × ¬lift(B)` lazily and stops at the first
-//! counterexample — verdicts and witnesses stay identical to the eager
-//! [`crate::check_refinement`].
+//! downstream run on the smallest equivalent machines.  The refinement
+//! check itself never materializes the lifted abstract automaton:
+//! [`check_refinement_cached`] runs the **on-the-fly** inclusion engine
+//! (`pospec_regex::lazy_lifted_inclusion`), which explores the product
+//! `A × ¬lift(B)` lazily and stops at the first counterexample.  It is
+//! the only condition-3 engine — [`crate::check_refinement`] runs it
+//! through a fresh cache — and its verdicts and witnesses equal those of
+//! the eager pipeline kept as the test oracle (`tests/oracle/mod.rs`).
 //!
 //! Entries are `OnceLock`-guarded, so concurrent batch workers that race
 //! on the same key block on one build instead of duplicating it.
@@ -47,7 +48,7 @@
 use crate::parallel::parallel_map_ref;
 use crate::persist::PersistentStore;
 use crate::refine::{
-    condition3_verdict_lazy, refinement_conditions, FailedCondition, OtfOutcome, Verdict,
+    condition3_verdict, refinement_conditions, FailedCondition, OtfOutcome, Verdict,
 };
 use crate::spec::Specification;
 use crate::traceset::{traceset_dfa, TraceSet};
@@ -547,6 +548,11 @@ impl DfaCache {
         let (slot, inserted) = self.claim(&self.lifted, key, ts);
         if !inserted {
             self.lift_hits.fetch_add(1, Ordering::Relaxed);
+            // A built lift answers alone; only a hit racing the claimer's
+            // build needs the operand automaton and the big alphabet.
+            if let Some(built) = slot.get() {
+                return Arc::clone(built);
+            }
             let base = self.traceset_dfa(u, ts, alpha, pred_depth);
             let sigma_big = self.alphabet(big);
             return Arc::clone(slot.get_or_init(|| self.timed_build(|| base.lift_to(sigma_big))));
@@ -636,9 +642,10 @@ impl DfaCache {
 /// cache, with the **on-the-fly** condition-3 engine: both trace-set
 /// views are interned minimized automata over their *own* alphabets, and
 /// the inclusion explores the product `A × ¬lift(B)` lazily, stopping at
-/// the first counterexample.  Verdicts (including counterexample traces)
-/// are identical to [`crate::check_refinement`]; no lifted automaton is
-/// materialized on this path.
+/// the first counterexample.  A warm cache changes nothing but the time:
+/// verdicts (including counterexample traces) equal those of a fresh
+/// cache, which is what [`crate::check_refinement`] uses; no lifted
+/// automaton is materialized on this path.
 pub fn check_refinement_cached(
     cache: &DfaCache,
     concrete: &Specification,
@@ -656,7 +663,7 @@ pub fn check_refinement_cached(
     let a = cache.traceset_dfa(u, concrete.trace_set(), concrete.alphabet(), pred_depth);
     let b = cache.traceset_dfa(u, abstract_.trace_set(), abstract_.alphabet(), pred_depth);
     let (verdict, otf) =
-        condition3_verdict_lazy(concrete.trace_set(), abstract_.trace_set(), &a, &b, pred_depth);
+        condition3_verdict(concrete.trace_set(), abstract_.trace_set(), &a, &b, pred_depth);
     cache.record_otf(otf);
     verdict
 }
@@ -743,26 +750,6 @@ mod tests {
 
     fn universal_spec(f: &Fix) -> Specification {
         Specification::new("Any", [f.o], alpha(f, &[f.ow, f.w, f.cw]), TraceSet::Universal).unwrap()
-    }
-
-    #[test]
-    fn cached_verdicts_match_uncached() {
-        let f = fix();
-        let w = write_spec(&f);
-        let any = universal_spec(&f);
-        let cache = DfaCache::new();
-        for (c, a) in [(&w, &any), (&any, &w), (&w, &w), (&any, &any)] {
-            let cached = check_refinement_cached(&cache, c, a, 6);
-            let plain = check_refinement(c, a, 6);
-            assert_eq!(cached.holds(), plain.holds(), "{} vs {}", c.name(), a.name());
-            assert_eq!(
-                cached.counterexample(),
-                plain.counterexample(),
-                "{} vs {}",
-                c.name(),
-                a.name()
-            );
-        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use crate::spec::Specification;
 use crate::traceset::{traceset_dfa, TraceSet};
 use pospec_alphabet::{alpha_object, internal_of_set, EventSet, Universe};
-use pospec_regex::ConcreteDfa;
+use pospec_regex::{lazy_lifted_inclusion, ConcreteDfa};
 use pospec_trace::{Event, ObjectId, Trace};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -158,17 +158,19 @@ impl Component {
     /// Soundness of a specification for this component: every joint
     /// behaviour must project into `T(Γ)`.  Returns a joint counterexample
     /// trace on failure.  Exact over the finitization for regular trace
-    /// sets, exact up to `pred_depth` otherwise.
+    /// sets, exact up to `pred_depth` otherwise: a predicate spec's trie
+    /// knows nothing of projections longer than the depth, so, as in
+    /// Def. 2's check, behaviours whose projection is longer are left out.
     pub fn check_soundness(&self, spec: &Specification, pred_depth: usize) -> Result<(), Trace> {
         let u = spec.universe();
         let sigma = Arc::new(self.joint_alphabet(u).enumerate_concrete());
         let joint = self.joint_dfa(u, Arc::clone(&sigma), pred_depth);
         let sigma_spec = Arc::new(spec.alphabet().enumerate_concrete());
-        let spec_dfa =
-            traceset_dfa(u, spec.trace_set(), sigma_spec, pred_depth).lift_to(Arc::clone(&sigma));
-        match joint.included_in(&spec_dfa) {
-            Ok(()) => Ok(()),
-            Err(w) => Err(Trace::from_events(w)),
+        let spec_dfa = traceset_dfa(u, spec.trace_set(), sigma_spec, pred_depth);
+        let proj_bound = (!spec.trace_set().is_regular()).then_some(pred_depth);
+        match lazy_lifted_inclusion(&joint, &spec_dfa, None, proj_bound).counterexample {
+            None => Ok(()),
+            Some(w) => Err(Trace::from_events(w)),
         }
     }
 }
@@ -275,6 +277,27 @@ mod tests {
         let cex = comp.check_soundness(&spec2, 6).unwrap_err();
         assert!(cex.count_method(f.ping) >= 2);
         assert!(comp.joint_contains(&f.u, &cex), "counterexample is a real behaviour");
+    }
+
+    #[test]
+    fn a_predicate_spec_is_sound_up_to_its_depth() {
+        // Every ping sequence satisfies `true`, but the depth-d trie
+        // rejects projections longer than d: those are beyond the check,
+        // not counterexamples.
+        let f = fix();
+        let comp = Component::new([responder(&f)]);
+        let alpha_ping =
+            EventPattern::call(pospec_alphabet::ObjSpec::Any, f.o, f.ping).to_set(&f.u);
+        let spec = Specification::new(
+            "AnyPings",
+            [f.o],
+            alpha_ping,
+            TraceSet::predicate("true", |_: &Trace| true),
+        )
+        .unwrap();
+        for depth in [1, 2, 6] {
+            assert_eq!(comp.check_soundness(&spec, depth), Ok(()), "depth {depth}");
+        }
     }
 
     #[test]

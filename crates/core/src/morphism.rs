@@ -16,12 +16,19 @@
 //!
 //! which collapses to Def. 2 when `φ` is the identity.  Images of regular
 //! trace sets under alphabetic homomorphisms stay regular, so the check
-//! remains exact over the finitization (`ConcreteDfa::map_symbols`).
+//! remains exact over the finitization (`ConcreteDfa::map_symbols`).  The
+//! image is compared with the abstract automaton, over its own alphabet,
+//! by Def. 2's on-the-fly walk (`pospec_regex::lazy_lifted_inclusion`)
+//! on Def. 2's comparison region, so under the identity the verdict —
+//! exactness flag and witness included — is [`crate::check_refinement`]'s.
 
 use crate::refine::{FailedCondition, Verdict};
 use crate::spec::Specification;
 use crate::traceset::traceset_dfa;
 use pospec_alphabet::{ArgGranule, EventGranule, EventSet, MethodGranule, ObjGranule};
+use pospec_regex::{
+    accepts_outside_bounds, accepts_word_of_length_at_least, lazy_lifted_inclusion, ConcreteDfa,
+};
 use pospec_trace::{Arg, DataId, Event, MethodId, ObjectId, Trace};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -230,29 +237,35 @@ pub fn check_refinement_upto(
     if !abstract_.alphabet().is_subset(&image_alpha) {
         return Verdict::Fails { reason: FailedCondition::Alphabet, counterexample: None };
     }
-    // Condition 3 (generalized): image(T(Γ′)) projected must refine T(Γ).
+    // Condition 3 (generalized): image(T(Γ′)) projected must refine T(Γ),
+    // compared on Def. 2's region — concrete traces no longer than the
+    // depth when the concrete side is a trie, projections no longer than
+    // the depth when the abstract side is one.
     let u = concrete.universe();
     let sigma_conc = Arc::new(concrete.alphabet().enumerate_concrete());
     let sigma_image = Arc::new(image_alpha.enumerate_concrete());
-    let exact = concrete.trace_set().is_regular() && abstract_.trace_set().is_regular();
-    let mut a = traceset_dfa(u, concrete.trace_set(), Arc::clone(&sigma_conc), pred_depth);
-    if !exact {
-        a = a.intersect(&pospec_regex::ConcreteDfa::length_at_most(
-            Arc::clone(&sigma_conc),
-            pred_depth,
-        ));
-    }
-    let image = a.map_symbols(Arc::clone(&sigma_image), |e| phi.apply_event(e));
     let sigma_abs = Arc::new(abstract_.alphabet().enumerate_concrete());
-    let b = traceset_dfa(u, abstract_.trace_set(), sigma_abs, pred_depth)
-        .lift_to(Arc::clone(&sigma_image));
-    match image.included_in(&b) {
-        Ok(()) => Verdict::Holds { exact },
-        Err(word) => Verdict::Fails {
+    let (conc_ts, abs_ts) = (concrete.trace_set(), abstract_.trace_set());
+    let conc_bound = if conc_ts.is_regular() { None } else { Some(pred_depth) };
+    let proj_bound = if abs_ts.is_regular() { None } else { Some(pred_depth) };
+    let mut a = traceset_dfa(u, conc_ts, Arc::clone(&sigma_conc), pred_depth);
+    // A member on the horizon of a concrete trie may have unexplored
+    // extensions (the rule of Def. 2's check).
+    let on_horizon = conc_bound.is_some_and(|depth| accepts_word_of_length_at_least(&a, depth));
+    if let Some(depth) = conc_bound {
+        a = a.intersect(&ConcreteDfa::length_at_most(sigma_conc, depth));
+    }
+    let image = a.map_symbols(sigma_image, |e| phi.apply_event(e));
+    let b = traceset_dfa(u, abs_ts, sigma_abs, pred_depth);
+    if let Some(word) = lazy_lifted_inclusion(&image, &b, None, proj_bound).counterexample {
+        return Verdict::Fails {
             reason: FailedCondition::Traces,
             counterexample: Some(Trace::from_events(word)),
-        },
+        };
     }
+    let clipped = on_horizon || accepts_outside_bounds(&image, &b, None, proj_bound);
+    let exact = !clipped && conc_ts.trie_exact_to_depth() && abs_ts.trie_exact_to_depth();
+    Verdict::Holds { exact }
 }
 
 #[cfg(test)]

@@ -15,15 +15,23 @@
 //! in the inverse projection of the automaton of `T(Γ)` — which is exact
 //! for regular backends and exact-up-to-depth when an opaque predicate is
 //! involved.  On failure a shortest counterexample trace is produced.
+//!
+//! One engine decides condition 3: the on-the-fly product walk of
+//! [`pospec_regex::lazy_lifted_inclusion`], which never materializes the
+//! lifted abstract automaton.  [`check_refinement`] runs it through a
+//! fresh [`DfaCache`], [`crate::check_refinement_cached`] through the
+//! caller's.  The eager construction — lift, region and product automata,
+//! then `ConcreteDfa::included_in` — is kept only as the test oracle in
+//! `tests/oracle/mod.rs`.
 
+use crate::cache::{check_refinement_cached, DfaCache};
 use crate::spec::Specification;
-use crate::traceset::{traceset_dfa, TraceSet, DEFAULT_PREDICATE_DEPTH};
+use crate::traceset::{TraceSet, DEFAULT_PREDICATE_DEPTH};
 use pospec_regex::{
     accepts_outside_bounds, accepts_word_of_length_at_least, lazy_lifted_inclusion, ConcreteDfa,
 };
-use pospec_trace::{Event, Trace};
+use pospec_trace::Trace;
 use std::fmt;
-use std::sync::Arc;
 
 /// The outcomes of the two statically-decidable refinement conditions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,16 +123,30 @@ pub fn refinement_conditions(
     }
 }
 
-/// Decide condition 3 from already-built automata.
+/// What the on-the-fly inclusion engine did for one condition-3 check —
+/// recorded into the cache's counters by the cached checker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct OtfOutcome {
+    /// The search stopped at a counterexample instead of exhausting the
+    /// reachable product.
+    pub early_exit: bool,
+    /// Product states dequeued by the main inclusion search.
+    pub explored: u64,
+}
+
+/// Decide condition 3 from already-built automata, **on the fly**.
 ///
-/// `a` is the concrete trace set's view over the finitized `α(Γ′)`;
-/// `b_lifted` is the abstract view lifted (inverse projection) to the
-/// same alphabet.  Shared by the uncached [`check_refinement`] and the
-/// cached [`crate::cache::check_refinement_cached`] paths, so both
-/// produce identical verdicts and counterexamples.
+/// `a` is the concrete view over the finitized `α(Γ′)`; `b` is the
+/// abstract view over its *own* alphabet `α(Γ)`.  The inverse projection
+/// of `b` onto `α(Γ′)` is simulated per symbol by
+/// [`lazy_lifted_inclusion`], which explores the product `A × ¬lift(B)`
+/// breadth-first in symbol order and stops at the first counterexample:
+/// the shortest, lexicographically-least offending word.  No lifted,
+/// region or product automaton is materialized.
 ///
 /// Inexact (predicate-trie) views are compared only on the *symmetric*
-/// comparison region where both sides are exact:
+/// comparison region where both sides are exact, kept as a pair of
+/// counters that prune the product walk:
 ///
 /// * if the concrete side is inexact, words longer than `pred_depth`
 ///   are excluded (the concrete trie is silent about them);
@@ -146,89 +168,11 @@ pub(crate) fn condition3_verdict(
     concrete_ts: &TraceSet,
     abstract_ts: &TraceSet,
     a: &ConcreteDfa,
-    b_lifted: &ConcreteDfa,
-    sigma_conc: &Arc<Vec<Event>>,
-    sigma_abs: &Arc<Vec<Event>>,
-    pred_depth: usize,
-) -> Verdict {
-    let conc_regular = concrete_ts.is_regular();
-    let abs_regular = abstract_ts.is_regular();
-    if conc_regular && abs_regular {
-        return match a.included_in(b_lifted) {
-            Ok(()) => Verdict::Holds { exact: true },
-            Err(word) => Verdict::Fails {
-                reason: FailedCondition::Traces,
-                counterexample: Some(Trace::from_events(word)),
-            },
-        };
-    }
-    let mut region = ConcreteDfa::universal(Arc::clone(sigma_conc));
-    if !conc_regular {
-        region = region.intersect(&ConcreteDfa::length_at_most(Arc::clone(sigma_conc), pred_depth));
-    }
-    if !abs_regular {
-        region = region.intersect(
-            &ConcreteDfa::length_at_most(Arc::clone(sigma_abs), pred_depth)
-                .lift_to(Arc::clone(sigma_conc)),
-        );
-    }
-    let mut clipped = a.included_in(&region).is_err();
-    if !conc_regular && !clipped {
-        // Members *on* the horizon may have unexplored extensions, so the
-        // language counts as fully explored only when every member is
-        // strictly shorter than the trie depth.  Asking for a member of
-        // length ≥ depth covers depth 0 uniformly: an empty language was
-        // explored completely even by a depth-0 trie.
-        clipped = accepts_word_of_length_at_least(a, pred_depth);
-    }
-    match a.intersect(&region).included_in(b_lifted) {
-        Ok(()) => Verdict::Holds {
-            exact: !clipped
-                && concrete_ts.trie_exact_to_depth()
-                && abstract_ts.trie_exact_to_depth(),
-        },
-        Err(word) => Verdict::Fails {
-            reason: FailedCondition::Traces,
-            counterexample: Some(Trace::from_events(word)),
-        },
-    }
-}
-
-/// What the on-the-fly inclusion engine did for one condition-3 check —
-/// recorded into the cache's counters by the cached checker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct OtfOutcome {
-    /// The search stopped at a counterexample instead of exhausting the
-    /// reachable product.
-    pub early_exit: bool,
-    /// Product states dequeued by the main inclusion search.
-    pub explored: u64,
-}
-
-/// Decide condition 3 **on the fly**: the same verdict (and witness) as
-/// [`condition3_verdict`], produced without materializing the lifted
-/// abstract automaton, the region automaton, or their product.
-///
-/// `a` is the concrete view over the finitized `α(Γ′)`; `b` is the
-/// abstract view over its *own* alphabet `α(Γ)` — the inverse projection
-/// is simulated per symbol by [`lazy_lifted_inclusion`], and the partial
-/// comparison region (concrete length / projected length at most
-/// `pred_depth` when the respective side is a predicate trie) becomes a
-/// pair of counters pruning the product walk.  The search is breadth-first
-/// in symbol order, so a failing check returns the identical shortest,
-/// lexicographically-least counterexample as the eager pipeline and stops
-/// at it — the early exit that makes failing checks cheap.
-pub(crate) fn condition3_verdict_lazy(
-    concrete_ts: &TraceSet,
-    abstract_ts: &TraceSet,
-    a: &ConcreteDfa,
     b: &ConcreteDfa,
     pred_depth: usize,
 ) -> (Verdict, OtfOutcome) {
-    let conc_regular = concrete_ts.is_regular();
-    let abs_regular = abstract_ts.is_regular();
-    let conc_bound = if conc_regular { None } else { Some(pred_depth) };
-    let proj_bound = if abs_regular { None } else { Some(pred_depth) };
+    let conc_bound = if concrete_ts.is_regular() { None } else { Some(pred_depth) };
+    let proj_bound = if abstract_ts.is_regular() { None } else { Some(pred_depth) };
     let outcome = lazy_lifted_inclusion(a, b, conc_bound, proj_bound);
     let otf = OtfOutcome { early_exit: outcome.early_exit(), explored: outcome.explored };
     if let Some(word) = outcome.counterexample {
@@ -240,12 +184,11 @@ pub(crate) fn condition3_verdict_lazy(
             otf,
         );
     }
-    // Inclusion holds on the comparison region; the verdict is exact only
-    // when nothing fell outside it (same rule as the eager path).
-    let mut clipped = accepts_outside_bounds(a, b, conc_bound, proj_bound);
-    if !conc_regular && !clipped {
-        clipped = accepts_word_of_length_at_least(a, pred_depth);
-    }
+    // Inclusion holds on the comparison region.  Asking for a member of
+    // length ≥ depth (not = depth) covers depth 0 uniformly: an empty
+    // language was explored completely even by a depth-0 trie.
+    let clipped = accepts_outside_bounds(a, b, conc_bound, proj_bound)
+        || conc_bound.is_some_and(|depth| accepts_word_of_length_at_least(a, depth));
     let exact = !clipped && concrete_ts.trie_exact_to_depth() && abstract_ts.trie_exact_to_depth();
     (Verdict::Holds { exact }, otf)
 }
@@ -253,34 +196,16 @@ pub(crate) fn condition3_verdict_lazy(
 /// Full refinement check `concrete ⊑ abstract_` (Def. 2).
 ///
 /// `pred_depth` bounds the trie unfolding of opaque predicate trace sets;
-/// it is irrelevant for regular backends.
+/// it is irrelevant for regular backends.  Runs
+/// [`check_refinement_cached`] through a fresh [`DfaCache`]: there is one
+/// condition-3 engine, and a caller checking many pairs should pass its
+/// own cache instead.
 pub fn check_refinement(
     concrete: &Specification,
     abstract_: &Specification,
     pred_depth: usize,
 ) -> Verdict {
-    let conds = refinement_conditions(concrete, abstract_);
-    if !conds.objects_ok {
-        return Verdict::Fails { reason: FailedCondition::Objects, counterexample: None };
-    }
-    if !conds.alphabet_ok {
-        return Verdict::Fails { reason: FailedCondition::Alphabet, counterexample: None };
-    }
-    let u = concrete.universe();
-    let sigma_conc = Arc::new(concrete.alphabet().enumerate_concrete());
-    let sigma_abs = Arc::new(abstract_.alphabet().enumerate_concrete());
-    let a = traceset_dfa(u, concrete.trace_set(), Arc::clone(&sigma_conc), pred_depth);
-    let b = traceset_dfa(u, abstract_.trace_set(), Arc::clone(&sigma_abs), pred_depth)
-        .lift_to(Arc::clone(&sigma_conc));
-    condition3_verdict(
-        concrete.trace_set(),
-        abstract_.trace_set(),
-        &a,
-        &b,
-        &sigma_conc,
-        &sigma_abs,
-        pred_depth,
-    )
+    check_refinement_cached(&DfaCache::new(), concrete, abstract_, pred_depth)
 }
 
 /// Convenience: does `concrete ⊑ abstract_` hold with default settings?
@@ -321,6 +246,7 @@ mod tests {
     use pospec_alphabet::{EventPattern, Universe, UniverseBuilder};
     use pospec_regex::{Re, Template};
     use pospec_trace::{ClassId, MethodId, ObjectId};
+    use std::sync::Arc;
 
     /// The universe of Examples 1–3.
     struct Fix {
@@ -567,14 +493,6 @@ mod tests {
         // horizon — exact again.
         let v = check_refinement(&eps_only, &any, 1);
         assert!(matches!(v, Verdict::Holds { exact: true }), "{v:?}");
-
-        // Cached on-the-fly path must agree verdict-for-verdict.
-        let cache = crate::DfaCache::new();
-        for (spec, depth) in [(&never, 0usize), (&eps_only, 0), (&eps_only, 1)] {
-            let cached = crate::check_refinement_cached(&cache, spec, &any, depth);
-            let plain = check_refinement(spec, &any, depth);
-            assert_eq!(cached, plain, "{} at depth {depth}", spec.name());
-        }
     }
 
     #[test]
@@ -599,11 +517,6 @@ mod tests {
         // inside the trie.
         let v = check_refinement(&three, &any, 4);
         assert!(matches!(v, Verdict::Holds { exact: true }), "{v:?}");
-        let cache = crate::DfaCache::new();
-        for depth in [3usize, 4] {
-            let cached = crate::check_refinement_cached(&cache, &three, &any, depth);
-            assert_eq!(cached, check_refinement(&three, &any, depth), "depth {depth}");
-        }
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //! `pospec-gen` — known-answer scenario generation.
 //!
 //! The engine's verdicts on the shipping specifications can only be
-//! cross-checked against themselves (cached vs eager, lazy vs
-//! materialized).  This crate turns the paper's constructions into an
-//! *independent oracle*: parameterized families of component networks —
-//! pipelines, stars, rings and gossip meshes of N objects × M methods —
-//! whose refinement (Def. 2), composability (Def. 10) and deadlock
-//! (Ex. 5) verdicts are known **by construction**.
+//! cross-checked against other constructions of the same automata (the
+//! on-the-fly engine vs the eager pipeline kept as a test oracle, a
+//! warm cache vs a fresh one).  This crate turns the paper's
+//! constructions into an *independent oracle*: parameterized families
+//! of component networks — pipelines, stars, rings and gossip meshes of
+//! N objects × M methods — whose refinement (Def. 2), composability
+//! (Def. 10) and deadlock (Ex. 5) verdicts are known **by construction**.
 //!
 //! Every generated [`Scenario`] pairs a `.pos` document with a
 //! machine-readable [`Manifest`] of expected verdicts and lint

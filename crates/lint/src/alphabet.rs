@@ -10,7 +10,6 @@
 //!   transition of the refined automaton — the expansion is dead
 //!   weight, and condition 3 over it is trivially satisfied.
 
-use crate::automaton::live_symbols;
 use crate::context::Ctx;
 use crate::diag::{Code, DiagSink, Diagnostic, Fix};
 use crate::fix::{deletion_edit, regex_literal_sets};
@@ -226,7 +225,7 @@ fn dead_expansions(ctx: &Ctx<'_>, sink: &mut DiagSink) {
             continue;
         }
         let Some(dfa) = ctx.dfa(c) else { continue };
-        let live = live_symbols(&dfa);
+        let live = dfa.live_symbols();
         let sigma = dfa.alphabet();
         let any_new_live = sigma.iter().enumerate().any(|(sym, e)| live[sym] && new.contains(e));
         if !any_new_live {

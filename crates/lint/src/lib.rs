@@ -26,7 +26,6 @@
 //! and served as LSP code actions.
 
 mod alphabet;
-mod automaton;
 mod compose_pre;
 mod context;
 mod diag;
@@ -241,9 +240,8 @@ spec S {
         assert!(r.is_clean(), "unexpected: {:?}", r.diagnostics);
     }
 
-    #[test]
-    fn compositions_are_built_from_the_passed_cache() {
-        let src = "\
+    /// Two composable specs; each test appends its `development` block.
+    const S_AND_T: &str = "\
 universe { class Env; object o; object b; method OP; method OK; witnesses Env 1; }
 spec S {
   objects { o }
@@ -255,16 +253,33 @@ spec T {
   alphabet { <Env, b, OK>; <o, b, OP>; <b, o, OP>; }
   traces any;
 }
-development { compose ST from S with T; }
 ";
+
+    #[test]
+    fn compositions_are_built_from_the_passed_cache() {
+        let src = format!("{S_AND_T}development {{ compose ST from S with T; }}\n");
         let cache = DfaCache::new();
-        lint_document_cached("test.pos", src, &LintConfig::default(), &cache);
+        lint_document_cached("test.pos", &src, &LintConfig::default(), &cache);
         let s = cache.stats();
         // Both operand lifts live in the passed cache, and they are lifts
         // of the operand automata the per-spec passes built: S, T and ST
         // are each built once.
         assert_eq!(s.lift_misses, 2, "{s:?}");
         assert_eq!(s.dfa_misses, 3, "{s:?}");
+    }
+
+    #[test]
+    fn a_lift_hit_counts_once() {
+        // `TS` reuses both operand lifts of `ST`.  A built lift answers
+        // alone: no operand automaton or alphabet lookup rides on it.
+        let src = format!(
+            "{S_AND_T}development {{ compose ST from S with T; compose TS from T with S; }}\n"
+        );
+        let cache = DfaCache::new();
+        lint_document_cached("test.pos", &src, &LintConfig::default(), &cache);
+        let s = cache.stats();
+        assert_eq!((s.lift_misses, s.lift_hits), (2, 2), "{s:?}");
+        assert_eq!((s.dfa_hits, s.alphabet_hits), (2, 4), "{s:?}");
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //!   but for a composition it is the paper's deadlock shape (Ex. 4/5):
 //!   both sides are individually willing, yet the conjunction stalls.
 
-use crate::automaton::{live_symbols, quiescent_witness};
 use crate::context::Ctx;
 use crate::diag::{Code, DiagSink, Diagnostic, Fix};
 use crate::fix::{deletion_edit, regex_literal_sets};
@@ -46,7 +45,7 @@ fn epsilon_and_dead_patterns(ctx: &Ctx<'_>, sink: &mut DiagSink) {
             // one P107 explains it better than a P104 per pattern.
             continue;
         }
-        let live = live_symbols(&dfa);
+        let live = dfa.live_symbols();
         let sigma = dfa.alphabet();
         for (i, set) in info.template_sets.iter().enumerate() {
             let Some(s) = set else { continue };
@@ -135,11 +134,10 @@ pub(crate) fn product_deadlocks(ctx: &Ctx<'_>) -> Vec<ProductDeadlock> {
             });
             continue;
         }
-        if let Some(word) = quiescent_witness(&dfa) {
-            let sigma = dfa.alphabet();
+        if let Some(word) = dfa.quiescent_word() {
             let trace = word
                 .iter()
-                .map(|&sym| pospec_alphabet::display_event(u, &sigma[sym]).to_string())
+                .map(|e| pospec_alphabet::display_event(u, e).to_string())
                 .collect::<Vec<_>>()
                 .join(" ");
             out.push(ProductDeadlock {

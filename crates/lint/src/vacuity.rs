@@ -31,7 +31,7 @@ pub(crate) fn run(ctx: &Ctx<'_>, sink: &mut DiagSink) {
         }
         // Projection vacuity: no event of the abstract alphabet is live
         // in the concrete automaton, so every projected trace is ε.
-        let live = crate::automaton::live_symbols(&cdfa);
+        let live = cdfa.live_symbols();
         let sigma = cdfa.alphabet();
         let any_abstract_live =
             sigma.iter().enumerate().any(|(sym, e)| live[sym] && a.alphabet().contains(e));

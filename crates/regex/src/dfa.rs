@@ -14,6 +14,10 @@
 //! * [`ConcreteDfa::complement`] — totalization + flip;
 //! * [`ConcreteDfa::included_in`] — emptiness of `L(A) ∩ ¬L(B)` with a
 //!   shortest counterexample word;
+//! * [`ConcreteDfa::accepted_prefixes`] — the one breadth-first search over
+//!   the states of accepted words, each with its shortest, least word
+//!   ([`ConcreteDfa::live_symbols`], [`ConcreteDfa::quiescent_word`],
+//!   quiescence, coverage and test generation);
 //! * [`ConcreteDfa::erase`] — hide a subset of the alphabet by treating its
 //!   symbols as ε and re-determinizing (the observable behaviour of a
 //!   composition);
@@ -348,6 +352,62 @@ impl ConcreteDfa {
             }
         }
         true
+    }
+
+    /// Can `state` continue, i.e. does some symbol lead to an accepting
+    /// state?  In a prefix-closed automaton a reachable accepting state
+    /// that cannot continue is a *quiescent* history (Ex. 4/5).
+    pub fn can_continue(&self, state: usize) -> bool {
+        self.trans[state].iter().flatten().any(|&t| self.accepting[t as usize])
+    }
+
+    /// The states reachable from the start through accepting states —
+    /// in a prefix-closed automaton, the states of the accepted words —
+    /// searched breadth-first in symbol order.
+    ///
+    /// The search is the one walk behind every accepted-prefix question
+    /// (live symbols, quiescent states, state and transition coverage).
+    /// It is lazy: each state is expanded when the iterator yields it, so
+    /// a caller that stops early pays only for the states it has seen.
+    /// Because it is breadth-first in symbol order, the word it records
+    /// for a state is the shortest, then lexicographically least (in
+    /// alphabet order), accepted word reaching that state.
+    pub fn accepted_prefixes(&self) -> AcceptedPrefixes<'_> {
+        let mut search = AcceptedPrefixes {
+            dfa: self,
+            queue: VecDeque::new(),
+            seen: vec![false; self.trans.len()],
+            parent: vec![None; self.trans.len()],
+        };
+        if self.accepting[self.start] {
+            search.seen[self.start] = true;
+            search.queue.push_back(self.start);
+        }
+        search
+    }
+
+    /// Per-symbol liveness: `live[sym]` iff some accepted word contains the
+    /// symbol.  In a prefix-closed automaton that is an accepting→accepting
+    /// transition on `sym` out of a state of an accepted word.
+    pub fn live_symbols(&self) -> Vec<bool> {
+        let mut live = vec![false; self.alphabet.len()];
+        for s in self.accepted_prefixes() {
+            for (flag, t) in live.iter_mut().zip(&self.trans[s]) {
+                *flag |= t.is_some_and(|t| self.accepting[t as usize]);
+            }
+        }
+        live
+    }
+
+    /// The shortest, then least, accepted word that reaches a quiescent
+    /// state ([`ConcreteDfa::can_continue`] is false), or `None` when every
+    /// accepted word can be extended.  The search stops at the first
+    /// quiescent state.  The word is a property of the language, so it does
+    /// not depend on minimization.
+    pub fn quiescent_word(&self) -> Option<Vec<Event>> {
+        let mut search = self.accepted_prefixes();
+        let stall = search.find(|&s| !self.can_continue(s))?;
+        Some(search.word(stall))
     }
 
     /// A shortest accepted word, if any.
@@ -741,6 +801,53 @@ impl ConcreteDfa {
     }
 }
 
+/// The search of [`ConcreteDfa::accepted_prefixes`]: an iterator over the
+/// states reached along accepted words, in breadth-first discovery order
+/// (by the length, then the alphabet order, of the words reaching them).
+/// It yields nothing when the language is empty.
+#[derive(Debug, Clone)]
+pub struct AcceptedPrefixes<'a> {
+    dfa: &'a ConcreteDfa,
+    /// Discovered states not yet yielded.
+    queue: VecDeque<usize>,
+    seen: Vec<bool>,
+    /// `parent[s]`: the state and symbol `s` was first reached from
+    /// (`None` for the start state and for undiscovered states).
+    parent: Vec<Option<(u32, u32)>>,
+}
+
+impl AcceptedPrefixes<'_> {
+    /// The shortest, then least, accepted word reaching `state`, which
+    /// must be a state the search has yielded.
+    pub fn word(&self, state: usize) -> Vec<Event> {
+        let mut word = Vec::new();
+        let mut at = state;
+        while let Some((prev, sym)) = self.parent[at] {
+            word.push(self.dfa.alphabet[sym as usize]);
+            at = prev as usize;
+        }
+        word.reverse();
+        word
+    }
+}
+
+impl Iterator for AcceptedPrefixes<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let s = self.queue.pop_front()?;
+        for (sym, t) in self.dfa.trans[s].iter().enumerate() {
+            let Some(t) = t.map(|t| t as usize) else { continue };
+            if self.dfa.accepting[t] && !self.seen[t] {
+                self.seen[t] = true;
+                self.parent[t] = Some((s as u32, sym as u32));
+                self.queue.push_back(t);
+            }
+        }
+        Some(s)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1035,6 +1142,74 @@ mod tests {
         assert_eq!(dfa.state_after([Event::call(f.c, f.o, f.ow)].iter()), Some(s1));
         let w_sym = f.sigma.iter().position(|e| *e == Event::call(f.w1, f.o, f.w)).unwrap();
         assert_eq!(dfa.successor(s1, w_sym), None, "wrong writer has no successor");
+    }
+
+    /// Prefix-closed automata of differing shapes: two subset
+    /// constructions and two unminimized tries.
+    fn prefix_closed_automata(f: &Fix) -> Vec<ConcreteDfa> {
+        let once = Re::seq([f.ow, f.w, f.cw].map(|m| Re::lit(Template::call(f.c, f.o, m))));
+        let (ow, cw) = (f.ow, f.cw);
+        let open = move |h: &Trace| h.count_method(ow) as i64 - h.count_method(cw) as i64;
+        let sigma = || Arc::clone(&f.sigma);
+        vec![
+            write_dfa(f, AcceptMode::PrefixLive),
+            ConcreteDfa::from_nfa(&f.u, &Nfa::compile(&once), sigma(), AcceptMode::PrefixLive),
+            ConcreteDfa::from_membership(sigma(), 4, |h| {
+                (0..=1).contains(&open(h)) && h.len() <= 3
+            }),
+            ConcreteDfa::from_membership(sigma(), 2, |h| h.len() <= 5),
+        ]
+    }
+
+    #[test]
+    fn accepted_prefixes_are_shortlex_ordered_least_shortest_words() {
+        let f = fix();
+        for dfa in prefix_closed_automata(&f) {
+            let mut search = dfa.accepted_prefixes();
+            let mut found = Vec::new();
+            while let Some(s) = search.next() {
+                found.push((s, search.word(s)));
+            }
+            let key = |w: &Vec<Event>| (w.len(), w.iter().map(|e| dfa.symbol_index(e)).collect());
+            let keys: Vec<(usize, Vec<_>)> = found.iter().map(|(_, w)| key(w)).collect();
+            assert!(keys.windows(2).all(|k| k[0] < k[1]), "not shortlex: {keys:?}");
+            for (s, word) in &found {
+                // `enumerate_accepted` lists words by length, then in
+                // alphabet order: its first word reaching `s` is the least
+                // of the shortest.
+                let mut accepted = dfa.enumerate_accepted(word.len()).into_iter();
+                let least = accepted.find(|w| dfa.state_after(w.iter()) == Some(*s));
+                assert_eq!(least.as_ref(), Some(word), "state {s}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_language_has_no_accepted_prefixes() {
+        let f = fix();
+        let empty = ConcreteDfa::empty_lang(Arc::clone(&f.sigma));
+        assert_eq!(empty.accepted_prefixes().next(), None);
+        assert_eq!(empty.quiescent_word(), None);
+        assert!(empty.live_symbols().iter().all(|&l| !l));
+        let refuses_eps = ConcreteDfa::from_membership(Arc::clone(&f.sigma), 3, |_| false);
+        assert_eq!(refuses_eps.accepted_prefixes().next(), None);
+        let eps = ConcreteDfa::eps_lang(Arc::clone(&f.sigma));
+        assert_eq!(eps.accepted_prefixes().collect::<Vec<_>>(), [eps.start_state()]);
+        assert!(!eps.can_continue(eps.start_state()));
+        assert_eq!(eps.quiescent_word(), Some(vec![]));
+    }
+
+    #[test]
+    fn quiescent_word_and_live_symbols_survive_minimization() {
+        let f = fix();
+        let mut stalls = 0;
+        for dfa in prefix_closed_automata(&f) {
+            let min = dfa.minimize();
+            assert_eq!(dfa.quiescent_word(), min.quiescent_word());
+            assert_eq!(dfa.live_symbols(), min.live_symbols());
+            stalls += usize::from(dfa.quiescent_word().is_some());
+        }
+        assert_eq!(stalls, 3, "only the starred protocol never stalls");
     }
 
     #[test]

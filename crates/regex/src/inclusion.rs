@@ -1,12 +1,15 @@
 //! On-the-fly language inclusion `L(A) ∩ region ⊆ L(B↑)`.
 //!
-//! The eager pipeline materializes `lift(B)`, the region automaton, and
-//! the full product `A × ¬lift(B)` before asking for a counterexample.
-//! This module explores exactly the same product **lazily**: product
-//! states `(a-state, lifted-b-state, length counters)` are discovered
-//! breadth-first in symbol order and the search stops at the first
-//! counterexample, so failing checks touch a fraction of the product and
-//! no lifted automaton is ever built.
+//! This is the one engine behind every inclusion into a lifted automaton:
+//! Def. 2's condition 3, refinement up to a morphism, and component
+//! soundness.  An eager pipeline would materialize `lift(B)`, the region
+//! automaton, and the full product `A × ¬lift(B)` before asking for a
+//! counterexample (the workspace keeps that pipeline only as a test
+//! oracle).  This module explores exactly the same product **lazily**:
+//! product states `(a-state, lifted-b-state, length counters)` are
+//! discovered breadth-first in symbol order and the search stops at the
+//! first counterexample, so failing checks touch a fraction of the
+//! product and no lifted automaton is ever built.
 //!
 //! The lifted view of `B` is simulated symbol-by-symbol: an `A`-symbol
 //! that belongs to `B`'s alphabet steps `B`, any other symbol self-loops

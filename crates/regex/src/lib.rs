@@ -37,7 +37,7 @@ pub mod nfa;
 pub mod prs;
 
 pub use ast::{Env, Re, TArg, TObj, Template, VarId};
-pub use dfa::{AcceptMode, ConcreteDfa};
+pub use dfa::{AcceptMode, AcceptedPrefixes, ConcreteDfa};
 pub use inclusion::{
     accepts_outside_bounds, accepts_word_of_length_at_least, lazy_lifted_inclusion,
     InclusionOutcome,

@@ -6,7 +6,7 @@
 //!             [--warn CODE] [--allow CODE]     static analysis (codes P0xx/P1xx)
 //! pospec list <file.pos>                       list specs with alphabets
 //! pospec refine <file.pos> <concrete> <abstract> [--depth N]
-//! pospec compose <file.pos> <a> <b> [--deadlock] [--depth N]
+//! pospec compose <file.pos> <a> <b> [--deadlock]
 //! pospec quiesce <file.pos> <spec> [--depth N] quiescence/dead-end analysis
 //! pospec monitor <file.pos> <spec> <trace.jsonl>
 //!                                              replay a recorded trace
@@ -41,7 +41,7 @@ fn usage() -> ExitCode {
          pospec lint <file.pos|dir>... [--fix] [--json] [--depth N] [--deny warnings|CODE] \
 [--warn CODE] [--allow CODE]\n  pospec list <file.pos>\n  \
          pospec refine <file.pos> <concrete> <abstract> [--depth N]\n  \
-         pospec compose <file.pos> <a> <b> [--deadlock] [--depth N]\n  \
+         pospec compose <file.pos> <a> <b> [--deadlock]\n  \
          pospec quiesce <file.pos> <spec> [--depth N]\n  \
          pospec monitor <file.pos> <spec> <trace.jsonl>\n  \
          pospec simulate <file.pos> [--seed N] [--faults drop=P,dup=P,delay=P,crash=P] \
@@ -840,7 +840,7 @@ fn main() -> ExitCode {
         None => return usage(),
     };
     match (cmd, rest) {
-        ("check", [file, ..]) => {
+        ("check", [file]) => {
             let doc = match load(file) {
                 Ok(d) => d,
                 Err(c) => return c,
@@ -859,7 +859,7 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        ("list", [file, ..]) => {
+        ("list", [file]) => {
             let doc = match load(file) {
                 Ok(d) => d,
                 Err(c) => return c,
@@ -891,7 +891,9 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         }
-        ("compose", [file, a_name, b_name, extra @ ..]) => {
+        ("compose", [file, a_name, b_name, deadlock @ ..])
+            if deadlock.iter().all(|s| s == "--deadlock") =>
+        {
             let doc = match load(file) {
                 Ok(d) => d,
                 Err(c) => return c,
@@ -908,7 +910,7 @@ fn main() -> ExitCode {
             println!("composed `{}`:", composed.name());
             println!("  objects: {}", composed.objects().len());
             println!("  visible α = {}", composed.alphabet().display());
-            if extra.iter().any(|s| s == "--deadlock") {
+            if !deadlock.is_empty() {
                 let dead = observable_deadlock(&composed);
                 println!("  deadlocked (T = {{ε}}): {dead}");
                 if dead {
@@ -948,7 +950,7 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         }
-        ("monitor", [file, spec_name, trace_file, ..]) => {
+        ("monitor", [file, spec_name, trace_file]) => {
             let doc = match load(file) {
                 Ok(d) => d,
                 Err(c) => return c,
@@ -1020,7 +1022,7 @@ fn main() -> ExitCode {
             };
             simulate(file, &doc, extra)
         }
-        ("verify", [file, ..]) => {
+        ("verify", [file]) => {
             let doc = match load(file) {
                 Ok(d) => d,
                 Err(c) => return c,
@@ -1051,7 +1053,7 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         }
-        ("print", [file, ..]) => {
+        ("print", [file]) => {
             let doc = match load(file) {
                 Ok(d) => d,
                 Err(c) => return c,

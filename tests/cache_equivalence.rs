@@ -2,14 +2,17 @@
 //! optimisation.  For every backend mix the generator can produce —
 //! regular `prs` sets, opaque predicates, conjunctions, and composed
 //! sets — `check_refinement_cached` (cold or warm) and the batch API
-//! must return verdicts identical to the uncached `check_refinement`,
-//! including the *exact* counterexample trace, so the shortest-first
-//! witness guarantee survives caching.
+//! must return verdicts identical to the uncached eager pipeline of
+//! [`oracle`], including the *exact* counterexample trace, so the
+//! shortest-first witness guarantee survives caching.
 
+mod oracle;
+
+use oracle::eager_check_refinement;
 use pospec_check::{Arena, SpecGen};
 use pospec_core::{
-    check_refinement, check_refinement_batch, check_refinement_cached, compose, is_composable,
-    DfaCache, Specification, TraceSet, Verdict,
+    check_refinement_batch, check_refinement_cached, compose, is_composable, DfaCache,
+    Specification, TraceSet, Verdict,
 };
 use pospec_trace::Trace;
 
@@ -18,7 +21,7 @@ const DEPTH: usize = 6;
 /// Uncached, cold-cached, warm-cached (same cache asked twice) and
 /// batch verdicts must all coincide, counterexamples included.
 fn assert_cache_transparent(tag: &str, concrete: &Specification, abstract_: &Specification) {
-    let uncached = check_refinement(concrete, abstract_, DEPTH);
+    let uncached = eager_check_refinement(concrete, abstract_, DEPTH);
     let cache = DfaCache::new();
     let cold = check_refinement_cached(&cache, concrete, abstract_, DEPTH);
     let warm = check_refinement_cached(&cache, concrete, abstract_, DEPTH);
@@ -114,7 +117,7 @@ fn failing_pairs_keep_shortest_counterexamples_under_caching() {
     for i in 0..40 {
         let a = g.random_env_spec(&[arena.objs[0]], "A");
         let b = g.random_env_spec(&[arena.objs[0]], "B");
-        let uncached = check_refinement(&a, &b, DEPTH);
+        let uncached = eager_check_refinement(&a, &b, DEPTH);
         let cached = check_refinement_cached(&cache, &a, &b, DEPTH);
         assert_eq!(cached, uncached, "instance {i}");
         if let Verdict::Fails { counterexample: Some(c), .. } = &cached {

@@ -292,6 +292,34 @@ fn malformed_flag_values_exit_2_with_a_message() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("requires a value"));
 }
 
+#[test]
+fn subcommands_refuse_arguments_they_do_not_take() {
+    let file = specs("readers_writers.pos");
+    let trace = scratch("extra_args").join("good.jsonl");
+    std::fs::write(&trace, "{\"caller\":\"c\",\"callee\":\"o\",\"method\":\"OW\"}\n").unwrap();
+    let trace = trace.to_str().unwrap();
+    let auction = specs("auction.pos");
+    for args in [
+        vec!["verify", auction.as_str(), "--depth", "garbage"],
+        vec!["verify", auction.as_str(), "--depth", "6"],
+        vec!["check", file.as_str(), "extra"],
+        vec!["list", file.as_str(), "--json"],
+        vec!["print", file.as_str(), "extra"],
+        vec!["monitor", file.as_str(), "WriteAcc", trace, "extra"],
+        // `compose` takes `--deadlock` and nothing else.
+        vec!["compose", file.as_str(), "Client2", "WriteAcc", "--deadlock", "--depth", "x"],
+        vec!["compose", file.as_str(), "Client2", "WriteAcc", "--depth", "6"],
+    ] {
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(2), "args: {args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with("usage:"), "args: {args:?}, stderr: {err}");
+    }
+    // Without the extra argument each of them runs.
+    assert!(run(&["monitor", &file, "WriteAcc", trace]).status.success());
+    assert!(run(&["verify", &auction]).status.success());
+}
+
 /// A fresh scratch directory under the system temp dir, unique per test.
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pospec_cli_{tag}_{}", std::process::id()));

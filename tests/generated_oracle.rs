@@ -15,10 +15,13 @@
 //! while flipping the donor refinement to a Def.-2 condition-2 failure
 //! (`P021` + vacuity `P106`).
 
+mod oracle;
+
+use oracle::eager_check_refinement;
 use pospec_alphabet::internal_of_set;
 use pospec_core::{
-    check_all_pairs, check_refinement, check_refinement_batch, compose, is_composable,
-    observable_deadlock, DfaCache, FailedCondition, Specification, Verdict,
+    check_all_pairs, check_refinement_batch, compose, is_composable, observable_deadlock, DfaCache,
+    FailedCondition, Specification, Verdict,
 };
 use pospec_gen::{generate, ExpectRefine, Family, GenConfig, Scenario};
 use pospec_lang::parse_document;
@@ -92,12 +95,12 @@ fn verify_scenario(scenario: &Scenario) {
     for (entry, got) in scenario.manifest.refinements.iter().zip(&verdicts) {
         assert_verdict(scenario, &entry.concrete, &entry.abstract_, &entry.expect, got, u);
     }
-    // A deterministic subsample re-checked on the eager, uncached path:
-    // the oracle's claim is manifest == engine on *every* path.
+    // A deterministic subsample re-checked on the eager pipeline of
+    // [`oracle`]: the claim is manifest == engine == reference.
     for (entry, batch) in
         scenario.manifest.refinements.iter().zip(&verdicts).step_by(7.max(verdicts.len() / 4))
     {
-        let eager = check_refinement(spec(&entry.concrete), spec(&entry.abstract_), DEPTH);
+        let eager = eager_check_refinement(spec(&entry.concrete), spec(&entry.abstract_), DEPTH);
         assert_eq!(&eager, batch, "[{stem}] eager vs batch disagree on {}", entry.concrete);
     }
 

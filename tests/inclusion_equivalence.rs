@@ -1,13 +1,13 @@
 //! Verdict equivalence of the minimized + on-the-fly inclusion pipeline.
 //!
-//! The cached checker runs Hopcroft-minimized automata through the lazy
+//! The checker runs Hopcroft-minimized automata through the lazy
 //! product search (`A × ¬lift(B)`, explored breadth-first in symbol
 //! order) instead of materializing the lifted abstract automaton.  That
-//! rebuild is admissible only if it is *observationally invisible*: on
+//! engine is admissible only if it is *observationally invisible*: on
 //! every shipping specification pair and on generated spec/trace
 //! families, the full [`Verdict`] — holds/fails, exactness flag, and the
 //! counterexample trace itself — must equal the eager, uncached
-//! [`check_refinement`] reference.  Counterexamples are additionally
+//! reference of [`oracle`].  Counterexamples are additionally
 //! validated semantically: the witness is a member of the concrete trace
 //! set whose projection onto the abstract alphabet escapes the abstract
 //! trace set.
@@ -16,6 +16,9 @@
 //! the minimized result must be the very table the per-conjunct
 //! construction (one trie per conjunct, then products) yields.
 
+mod oracle;
+
+use oracle::eager_check_refinement;
 use pospec::prelude::*;
 use pospec_bench::paper::Paper;
 use pospec_check::{Arena, SpecGen};
@@ -36,7 +39,7 @@ fn assert_equivalent(
     abstract_: &Specification,
     depth: usize,
 ) -> Verdict {
-    let eager = check_refinement(concrete, abstract_, depth);
+    let eager = eager_check_refinement(concrete, abstract_, depth);
     let lazy = check_refinement_cached(cache, concrete, abstract_, depth);
     assert_eq!(lazy, eager, "{tag}: cached/on-the-fly verdict must equal the eager reference");
     if let Verdict::Fails { counterexample: Some(c), .. } = &lazy {
@@ -105,6 +108,127 @@ fn shipping_document_pairs_are_identical() {
                 );
             }
         }
+    }
+}
+
+/// Specifications over the universe of Examples 1–3 whose verdicts sit
+/// on the predicate-depth horizon, each paired with the depth at which
+/// it is checked.  `Burst ⊑ ReadOnce` fails only beyond the horizon of
+/// concrete length; the others are exact or inexact by one step of
+/// depth.
+fn horizon_cases() -> Vec<(Specification, Specification, usize)> {
+    let mut b = UniverseBuilder::new();
+    let objects = b.object_class("Objects").unwrap();
+    let data = b.data_class("Data").unwrap();
+    let o = b.object("o").unwrap();
+    let r = b.method_with("R", data).unwrap();
+    let or_ = b.method("OR").unwrap();
+    b.class_witnesses(objects, 2).unwrap();
+    b.data_witnesses(data, 1).unwrap();
+    let u = b.freeze();
+    let reads = EventPattern::call(objects, o, r).to_set(&u);
+    let spec = |name: &str, ts: TraceSet| {
+        Specification::new(name, [o], reads.clone(), ts).expect("admissible")
+    };
+    let at_most = |name: &str, k: usize| {
+        spec(name, TraceSet::predicate(format!("≤{k} R"), move |h: &Trace| h.count_method(r) <= k))
+    };
+    let read = spec("Read", TraceSet::Universal);
+    let never = spec("Never", TraceSet::predicate("false", |_: &Trace| false));
+    let no_reads = at_most("NoReads", 0);
+    let read_once = at_most("ReadOnce", 1);
+    let read_thrice = at_most("ReadThrice", 3);
+    let x = VarId(0);
+    let burst = Specification::new(
+        "Burst",
+        [o],
+        EventPattern::call(objects, o, or_).to_set(&u).union(&reads),
+        TraceSet::prs(
+            Re::seq([or_, or_, or_, r, r].map(|m| Re::lit(Template::call(x, o, m))))
+                .bind(x, objects),
+        ),
+    )
+    .expect("admissible");
+    vec![
+        (never, read.clone(), 0),
+        (no_reads.clone(), read.clone(), 0),
+        (no_reads, read.clone(), 1),
+        (read_thrice.clone(), read.clone(), 3),
+        (read_thrice, read.clone(), 4),
+        (burst, read_once.clone(), 3),
+        (read_once.clone(), read.clone(), 0),
+        (read_once.clone(), read.clone(), 4),
+        (read, read_once.clone(), 3),
+        (read_once.clone(), read_once, 0),
+    ]
+}
+
+/// The `Write`/`Any` pairs of the cache's unit tests: Example 1's
+/// write protocol against the unrestricted set over its alphabet.
+fn write_any_pairs() -> Vec<(Specification, Specification)> {
+    let mut b = UniverseBuilder::new();
+    let objects = b.object_class("Objects").unwrap();
+    let o = b.object("o").unwrap();
+    let ow = b.method("OW").unwrap();
+    let w = b.method("W").unwrap();
+    let cw = b.method("CW").unwrap();
+    b.class_witnesses(objects, 2).unwrap();
+    let u = b.freeze();
+    let alpha = [ow, w, cw].iter().fold(EventSet::empty(&u), |acc, &m| {
+        acc.union(&EventPattern::call(objects, o, m).to_set(&u))
+    });
+    let x = VarId(0);
+    let re = Re::seq([
+        Re::lit(Template::call(x, o, ow)),
+        Re::lit(Template::call(x, o, w)).star(),
+        Re::lit(Template::call(x, o, cw)),
+    ])
+    .bind(x, objects)
+    .star();
+    let write = Specification::new("Write", [o], alpha.clone(), TraceSet::prs(re)).unwrap();
+    let any = Specification::new("Any", [o], alpha, TraceSet::Universal).unwrap();
+    vec![
+        (write.clone(), any.clone()),
+        (any.clone(), write.clone()),
+        (write.clone(), write),
+        (any.clone(), any),
+    ]
+}
+
+#[test]
+fn horizon_and_write_fixtures_are_identical() {
+    for (c, a, depth) in horizon_cases() {
+        let tag = format!("horizon {} ⊑ {} @{depth}", c.name(), a.name());
+        assert_equivalent(&tag, &DfaCache::new(), &c, &a, depth);
+    }
+    let cache = DfaCache::new();
+    for (c, a) in write_any_pairs() {
+        assert_equivalent(&format!("{} ⊑ {}", c.name(), a.name()), &cache, &c, &a, DEPTH);
+    }
+}
+
+#[test]
+fn identity_morphism_recovers_def_2_verdicts() {
+    use pospec_core::{check_refinement_upto, Morphism};
+    let id = Morphism::identity();
+    let same = |c: &Specification, a: &Specification, depth: usize| {
+        let upto = check_refinement_upto(c, a, &id, depth);
+        assert_eq!(upto, check_refinement(c, a, depth), "{} ⊑ {} @{depth}", c.name(), a.name());
+    };
+    let p = Paper::new();
+    let specs = p.interface_specs();
+    for depth in 3..=5 {
+        for c in &specs {
+            for a in &specs {
+                same(c, a, depth);
+            }
+        }
+    }
+    for (c, a, depth) in horizon_cases() {
+        same(&c, &a, depth);
+    }
+    for (c, a) in write_any_pairs() {
+        same(&c, &a, DEPTH);
     }
 }
 
