@@ -62,9 +62,7 @@ pub fn state_coverage(spec: &Specification, traces: &[Trace], pred_depth: usize)
             visited[start] = true;
         }
         for e in t.iter() {
-            state = state.and_then(|s| {
-                sigma.iter().position(|x| x == e).and_then(|sym| dfa.successor(s, sym))
-            });
+            state = state.and_then(|s| dfa.symbol_index(e).and_then(|sym| dfa.successor(s, sym)));
             match state {
                 Some(s) if dfa.is_accepting(s) => visited[s] = true,
                 _ => break,

@@ -264,6 +264,19 @@ mod tests {
         assert!(!observable_deadlock(&composed), "projection avoids the deadlock");
     }
 
+    #[test]
+    fn composition_runner_dies_on_a_foreign_event() {
+        let f = fix();
+        let composed = compose(&write_acc(&f), &client(&f)).unwrap();
+        let mut runner = composed.trace_set().runner(&f.u);
+        let okev = Event::call(f.c, f.oprime, f.ok);
+        assert!(runner.step(&okev));
+        // A hidden event is not observable, so not in the alphabet.
+        assert!(!runner.step(&Event::call(f.c, f.o, f.ow)));
+        assert!(runner.is_dead());
+        assert!(!runner.step(&okev), "dead runners stay dead");
+    }
+
     /// A composition's automaton is built at the depth it is asked for,
     /// with and without a cache: the lift, product and erase of the
     /// operand automata at that depth.

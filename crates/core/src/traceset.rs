@@ -307,16 +307,14 @@ impl TraceSetRunner {
                 all
             }
             RunnerState::Dfa { dfa, state } => {
-                *state = state.and_then(|s| {
-                    dfa.alphabet().iter().position(|x| x == e).and_then(|sym| dfa.successor(s, sym))
-                });
+                *state =
+                    state.and_then(|s| dfa.symbol_index(e).and_then(|sym| dfa.successor(s, sym)));
                 state.map(|s| dfa.is_accepting(s)).unwrap_or(false)
             }
             RunnerState::Composed { set, state } => {
                 let dfa = set.membership_dfa();
-                *state = state.and_then(|s| {
-                    dfa.alphabet().iter().position(|x| x == e).and_then(|sym| dfa.successor(s, sym))
-                });
+                *state =
+                    state.and_then(|s| dfa.symbol_index(e).and_then(|sym| dfa.successor(s, sym)));
                 state.map(|s| dfa.is_accepting(s)).unwrap_or(false)
             }
             RunnerState::Predicate { pred, seen } => {
@@ -558,6 +556,22 @@ mod tests {
         assert!(!runner.step(&Event::call(f.c, f.o, f.w)));
         assert!(!runner.step(&Event::call(f.c, f.o, f.ow)));
         assert!(runner.is_dead());
+    }
+
+    #[test]
+    fn dfa_runner_dies_on_a_foreign_event() {
+        let f = fix();
+        let dfa = traceset_dfa(&f.u, &write_set(&f), Arc::clone(&f.sigma), 3);
+        let ts = TraceSet::Dfa(Arc::new(dfa));
+        let mut runner = ts.runner(&f.u);
+        assert!(runner.step(&Event::call(f.c, f.o, f.ow)));
+        assert!(runner.step(&Event::call(f.c, f.o, f.w)));
+        // `o` calling out is outside the automaton's alphabet.
+        let foreign = Event::call(f.o, f.c, f.w);
+        assert!(!f.sigma.contains(&foreign));
+        assert!(!runner.step(&foreign));
+        assert!(runner.is_dead());
+        assert!(!runner.step(&Event::call(f.c, f.o, f.cw)), "dead runners stay dead");
     }
 
     #[test]

@@ -41,11 +41,84 @@ impl Document {
     }
 }
 
-/// Parse and elaborate a source text.  Errors carry the offending
-/// source line so their `Display` renders a caret underline.
+/// Parse and elaborate a source text, failing at the first error.
+/// Errors carry the offending source line so their `Display` renders a
+/// caret underline.
 pub fn parse_document(src: &str) -> Result<Document, LangError> {
     let ast = parse(src).map_err(|e| e.with_source(src))?;
-    elaborate(&ast).map_err(|e| e.with_source(src))
+    Elaborated::new(ast).into_document().map_err(|e| e.with_source(src))
+}
+
+/// One document version's front end: its syntax tree, its universe and
+/// every spec's elaboration result.  One loop builds it, through an
+/// [`ElabSession`](crate::ElabSession) when the caller keeps one; every
+/// consumer of the version (registration, the linter, the LSP) reads
+/// this value instead of parsing and elaborating again.
+///
+/// Unlike a [`Document`], it does not stop at the first error: each spec
+/// elaborates on its own against the one universe, so a broken spec
+/// does not hide its neighbours from the linter.
+#[derive(Debug)]
+pub struct Elaborated {
+    /// The syntax tree.
+    pub ast: Ast,
+    /// The frozen universe, or the error of the `universe { … }` block.
+    pub universe: Result<Arc<Universe>, LangError>,
+    /// One result per entry of `ast.specs`, in declaration order; empty
+    /// when the universe did not elaborate.
+    pub specs: Vec<Result<Specification, LangError>>,
+}
+
+impl Elaborated {
+    /// Elaborate `ast` from scratch.
+    pub fn new(ast: Ast) -> Elaborated {
+        let universe = elaborate_universe(&ast);
+        Elaborated::build(ast, universe, elaborate_spec)
+    }
+
+    /// The one elaboration loop: every spec of `ast` against `universe`,
+    /// each through `spec`.
+    pub(crate) fn build(
+        ast: Ast,
+        universe: Result<Arc<Universe>, LangError>,
+        mut spec: impl FnMut(&Arc<Universe>, &SpecDecl) -> Result<Specification, LangError>,
+    ) -> Elaborated {
+        let specs = match &universe {
+            Ok(u) => ast.specs.iter().map(|sd| spec(u, sd)).collect(),
+            Err(_) => Vec::new(),
+        };
+        Elaborated { ast, universe, specs }
+    }
+
+    /// Did the universe and every spec elaborate?
+    pub(crate) fn all_elaborated(&self) -> bool {
+        self.universe.is_ok() && self.specs.iter().all(Result::is_ok)
+    }
+
+    /// The [`Document`] of this version, or its first error: the
+    /// universe's, then the first failing spec's, then the first name
+    /// error of the `component` and `development` blocks.
+    pub fn into_document(self) -> Result<Document, LangError> {
+        let Elaborated { ast, universe, specs } = self;
+        let universe = universe?;
+        let specs = specs.into_iter().collect::<Result<Vec<_>, _>>()?;
+        check_names(&ast, &universe, &specs)?;
+        Ok(Document { universe, specs, components: ast.components, development: ast.development })
+    }
+
+    /// Like [`Elaborated::into_document`], keeping this value: the
+    /// specifications and declarations are cloned.
+    pub fn document(&self) -> Result<Document, LangError> {
+        let universe = self.universe.clone()?;
+        let specs = self.specs.iter().cloned().collect::<Result<Vec<_>, _>>()?;
+        check_names(&self.ast, &universe, &specs)?;
+        Ok(Document {
+            universe,
+            specs,
+            components: self.ast.components.clone(),
+            development: self.ast.development.clone(),
+        })
+    }
 }
 
 fn err(span: Span, msg: impl Into<String>) -> LangError {
@@ -53,10 +126,8 @@ fn err(span: Span, msg: impl Into<String>) -> LangError {
 }
 
 /// Elaborate just the `universe { … }` block of a parsed AST into a
-/// frozen universe.  Exposed so analysis tools (the linter) can recover
-/// from per-spec errors while keeping every specification in the *same*
-/// universe — separately elaborated documents do not share object ids.
-pub fn elaborate_universe(ast: &Ast) -> Result<Arc<Universe>, LangError> {
+/// frozen universe.
+pub(crate) fn elaborate_universe(ast: &Ast) -> Result<Arc<Universe>, LangError> {
     let origin = Span::ORIGIN;
     let mut b = UniverseBuilder::new();
     // Pass 1: classes, so later declarations can reference them.
@@ -145,31 +216,9 @@ pub fn elaborate_universe(ast: &Ast) -> Result<Arc<Universe>, LangError> {
     Ok(b.freeze())
 }
 
-/// Elaborate a parsed AST.
-pub fn elaborate(ast: &Ast) -> Result<Document, LangError> {
-    let u = elaborate_universe(ast)?;
-    let mut specs = Vec::new();
-    for sd in &ast.specs {
-        specs.push(elaborate_spec(&u, sd)?);
-    }
-    check_names(ast, &u, &specs)?;
-    Ok(Document {
-        universe: u,
-        specs,
-        components: ast.components.clone(),
-        development: ast.development.clone(),
-    })
-}
-
 /// Name-check the `component` declarations and `development`
-/// statements against the elaborated specifications.  Shared by the
-/// eager path above and the incremental path
-/// ([`crate::incr::ElabSession::document`]).
-pub(crate) fn check_names(
-    ast: &Ast,
-    u: &Arc<Universe>,
-    specs: &[Specification],
-) -> Result<(), LangError> {
+/// statements against the elaborated specifications.
+fn check_names(ast: &Ast, u: &Arc<Universe>, specs: &[Specification]) -> Result<(), LangError> {
     // Name-check the component declarations.
     let spec_names: std::collections::BTreeSet<String> =
         specs.iter().map(|s| s.name().to_string()).collect();
@@ -353,7 +402,7 @@ fn regex(u: &Universe, vars: &mut VarTable, re: &ReAst) -> Result<Re, LangError>
 }
 
 /// Elaborate a single `spec` block against an already-frozen universe.
-pub fn elaborate_spec(u: &Arc<Universe>, sd: &SpecDecl) -> Result<Specification, LangError> {
+pub(crate) fn elaborate_spec(u: &Arc<Universe>, sd: &SpecDecl) -> Result<Specification, LangError> {
     let mut objects = Vec::new();
     for (name, nspan) in &sd.objects {
         let o = u

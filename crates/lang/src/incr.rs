@@ -20,12 +20,12 @@
 //! A universe change invalidates all cached specs: object, method and
 //! class ids are universe-relative.
 
-use crate::elab::{check_names, elaborate_spec, elaborate_universe, Document};
+use crate::elab::{elaborate_spec, elaborate_universe, Document, Elaborated};
 use crate::lexer::LangError;
 use crate::parser::{parse, ArgAst, Ast, ReAst, SpecDecl, TemplateAst, TracesAst};
 use pospec_alphabet::Universe;
 use pospec_core::Specification;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 // FNV-1a, 64-bit. Local rather than `std::hash` so fingerprints are
@@ -116,7 +116,7 @@ fn regex(h: &mut Fnv, re: &ReAst) {
 
 /// Span-insensitive fingerprint of one `spec` block: covers the name,
 /// object list, alphabet templates and trace expression — everything
-/// [`elaborate_spec`] reads.
+/// spec elaboration reads.
 pub fn spec_fp(sd: &SpecDecl) -> u64 {
     let mut h = Fnv::new();
     h.str(&sd.name);
@@ -150,7 +150,7 @@ pub fn universe_fp(ast: &Ast) -> u64 {
     h.0
 }
 
-/// What a [`ElabSession::document`] call did, per declaration.
+/// What an [`ElabSession::elaborate`] call did, per declaration.
 #[derive(Debug, Clone)]
 pub struct SessionLoad {
     /// Fingerprint of the universe block.
@@ -161,7 +161,8 @@ pub struct SessionLoad {
     pub reelaborated: Vec<String>,
     /// Names of the specs served from the session cache.
     pub reused: Vec<String>,
-    /// `(name, fingerprint)` for every spec, in declaration order.
+    /// `(name, fingerprint)` for every spec, in declaration order
+    /// (none when the universe did not elaborate).
     pub spec_fps: Vec<(String, u64)>,
 }
 
@@ -196,89 +197,90 @@ impl ElabSession {
         self.reuses
     }
 
-    /// The universe of `ast`, reusing the cached `Arc` when the
-    /// universe block is unchanged.  A changed universe drops every
-    /// cached spec (their ids refer to the old universe).
-    pub fn universe(&mut self, ast: &Ast) -> Result<(Arc<Universe>, u64, bool), LangError> {
-        let fp = universe_fp(ast);
+    /// The universe of `ast` (whose universe fingerprint is `fp`),
+    /// reusing the cached `Arc` when the universe block is unchanged.
+    /// A changed universe drops every cached spec (their ids refer to
+    /// the old universe).  Returns `(universe, reused)`.
+    fn universe(&mut self, ast: &Ast, fp: u64) -> Result<(Arc<Universe>, bool), LangError> {
         if let Some((cached, u)) = &self.universe {
             if *cached == fp {
-                return Ok((Arc::clone(u), fp, true));
+                return Ok((Arc::clone(u), true));
             }
         }
         let u = elaborate_universe(ast)?;
         self.specs.clear();
         self.universe = Some((fp, Arc::clone(&u)));
-        Ok((u, fp, false))
+        Ok((u, false))
     }
 
-    /// Elaborate one spec against `u`, served from cache when its
-    /// fingerprint is unchanged.  Returns `(spec, fingerprint, reused)`.
-    pub fn spec(
+    /// Elaborate one spec (whose fingerprint is `fp`) against `u`,
+    /// served from cache when the fingerprint is unchanged.  Returns
+    /// `(result, reused)`.
+    fn spec(
         &mut self,
         u: &Arc<Universe>,
         sd: &SpecDecl,
-    ) -> Result<(Specification, u64, bool), LangError> {
-        let fp = spec_fp(sd);
+        fp: u64,
+    ) -> (Result<Specification, LangError>, bool) {
         let key = (sd.name.clone(), fp);
         if let Some(s) = self.specs.get(&key) {
             self.reuses += 1;
-            return Ok((s.clone(), fp, true));
+            return (Ok(s.clone()), true);
         }
-        let s = elaborate_spec(u, sd)?;
-        self.elaborations += 1;
-        self.specs.insert(key, s.clone());
-        Ok((s, fp, false))
+        let result = elaborate_spec(u, sd);
+        if let Ok(s) = &result {
+            self.elaborations += 1;
+            self.specs.insert(key, s.clone());
+        }
+        (result, false)
     }
 
-    /// Incremental counterpart of [`crate::elab::elaborate`]: same
-    /// result and same first-error behaviour, but unchanged
-    /// declarations are served from the session cache.  On success the
-    /// cache is pruned to the declarations of *this* version, so a
-    /// long editing session does not accumulate dead entries.
-    pub fn document(&mut self, ast: &Ast) -> Result<(Document, SessionLoad), LangError> {
-        let (u, universe_fp, universe_reused) = self.universe(ast)?;
-        let mut specs = Vec::new();
+    /// Elaborate one version of the document: the value
+    /// [`Elaborated::new`] builds, with unchanged declarations served
+    /// from the session.  When every declaration elaborated, the cache
+    /// is pruned to this version's, so a long editing session does not
+    /// accumulate dead entries.
+    pub fn elaborate(&mut self, ast: Ast) -> (Elaborated, SessionLoad) {
+        let universe_fp = universe_fp(&ast);
+        let universe = self.universe(&ast, universe_fp);
         let mut load = SessionLoad {
             universe_fp,
-            universe_reused,
+            universe_reused: matches!(universe, Ok((_, true))),
             reelaborated: Vec::new(),
             reused: Vec::new(),
             spec_fps: Vec::new(),
         };
-        for sd in &ast.specs {
-            let (s, fp, reused) = self.spec(&u, sd)?;
+        let value = Elaborated::build(ast, universe.map(|(u, _)| u), |u, sd| {
+            let fp = spec_fp(sd);
+            let (spec, reused) = self.spec(u, sd, fp);
             if reused {
                 load.reused.push(sd.name.clone());
             } else {
                 load.reelaborated.push(sd.name.clone());
             }
             load.spec_fps.push((sd.name.clone(), fp));
-            specs.push(s);
+            spec
+        });
+        if value.all_elaborated() {
+            let live: HashSet<(&str, u64)> =
+                load.spec_fps.iter().map(|(n, fp)| (n.as_str(), *fp)).collect();
+            self.specs.retain(|(n, fp), _| live.contains(&(n.as_str(), *fp)));
         }
-        check_names(ast, &u, &specs)?;
-        let live: std::collections::HashSet<(String, u64)> =
-            load.spec_fps.iter().cloned().collect();
-        self.specs.retain(|k, _| live.contains(k));
-        let doc = Document {
-            universe: u,
-            specs,
-            components: ast.components.clone(),
-            development: ast.development.clone(),
-        };
-        Ok((doc, load))
+        (value, load)
     }
 }
 
-/// Parse and elaborate `src` through `session` — the incremental
-/// counterpart of [`crate::parse_document`], with the same caret-ready
-/// error rendering.
+/// Parse and elaborate `src` through `session`, failing at the first
+/// error — the incremental counterpart of [`crate::parse_document`],
+/// with the same caret-ready error rendering.
 pub fn parse_document_session(
     src: &str,
     session: &mut ElabSession,
 ) -> Result<(Document, SessionLoad), LangError> {
     let ast = parse(src).map_err(|e| e.with_source(src))?;
-    session.document(&ast).map_err(|e| e.with_source(src))
+    let (value, load) = session.elaborate(ast);
+    let doc = value.into_document().map_err(|e| e.with_source(src))?;
+    Ok((doc, load))
 }
 
 #[cfg(test)]

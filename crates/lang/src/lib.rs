@@ -54,7 +54,7 @@ pub mod pos;
 pub mod pretty;
 
 pub use edit::{apply_edits, coalesce_deletions, select_non_overlapping, EditError, TextEdit};
-pub use elab::{parse_document, Document};
+pub use elab::{parse_document, Document, Elaborated};
 pub use incr::{parse_document_session, ElabSession, SessionLoad};
 pub use lexer::{LangError, Span};
 pub use pretty::{

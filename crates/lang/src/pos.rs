@@ -15,6 +15,9 @@
 //! * columns past the end of a line clamp to the line end (exclusive
 //!   of the newline), matching the LSP specification's "defaults back
 //!   to the line length".
+//!
+//! One implementation applies them: [`LineIndex`], built once per text
+//! version.  The free functions build a throwaway index per call.
 
 use crate::lexer::Span;
 
@@ -28,40 +31,71 @@ pub fn floor_char_boundary(src: &str, i: usize) -> usize {
     i
 }
 
+/// The line starts of one text, built once per text version so that a
+/// position costs a binary search and a scan of one line instead of a
+/// scan from byte 0.
+///
+/// The index holds no text: every query takes the text it was built
+/// from, and a changed text needs a new index.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LineIndex {
+    /// Byte offset of each line's first byte: 0, then one past every
+    /// `\n`.  A text with `k` newlines has `k + 1` lines.
+    starts: Vec<usize>,
+}
+
+impl LineIndex {
+    /// Index the lines of `src`.
+    pub fn new(src: &str) -> LineIndex {
+        let newlines = src.bytes().enumerate().filter(|&(_, b)| b == b'\n');
+        LineIndex { starts: std::iter::once(0).chain(newlines.map(|(i, _)| i + 1)).collect() }
+    }
+
+    /// Convert a byte offset into `(line, column)` with a 0-based line
+    /// and a 0-based UTF-16 code-unit column.  Offsets beyond the text
+    /// clamp to the end; offsets inside a multi-byte scalar round down.
+    pub fn offset_to_utf16(&self, src: &str, offset: usize) -> (u32, u32) {
+        let off = floor_char_boundary(src, offset);
+        // The last line starting at or before `off` (`starts[0]` is 0).
+        let line = self.starts.partition_point(|&s| s <= off) - 1;
+        let col: usize = src[self.starts[line]..off].chars().map(char::len_utf16).sum();
+        (line as u32, col as u32)
+    }
+
+    /// Convert a 0-based line and 0-based UTF-16 column into a byte
+    /// offset.  Columns past the line end clamp to the line end;
+    /// columns splitting a surrogate pair round down to the scalar's
+    /// start.  Returns `None` when `line` exceeds the number of lines.
+    pub fn utf16_to_offset(&self, src: &str, line: u32, col: u32) -> Option<usize> {
+        let line = line as usize;
+        let start = *self.starts.get(line)?;
+        // The line ends before its `\n`, or at the end of the text.
+        let end = self.starts.get(line + 1).map_or(src.len(), |next| next - 1);
+        let mut units = 0u32;
+        for (i, ch) in src[start..end].char_indices() {
+            units += ch.len_utf16() as u32;
+            if units > col {
+                // `col` is this scalar's start, or splits its surrogate
+                // pair: either way the scalar's start.
+                return Some(start + i);
+            }
+        }
+        Some(end)
+    }
+}
+
 /// Convert a byte offset into `(line, column)` with a 0-based line and
-/// a 0-based UTF-16 code-unit column.  Offsets beyond the text clamp
-/// to the end; offsets inside a multi-byte scalar round down.
+/// a 0-based UTF-16 code-unit column; see
+/// [`LineIndex::offset_to_utf16`], which callers converting many
+/// offsets of one text should use directly.
 pub fn offset_to_utf16(src: &str, offset: usize) -> (u32, u32) {
-    let off = floor_char_boundary(src, offset);
-    let before = &src[..off];
-    let line = before.bytes().filter(|b| *b == b'\n').count() as u32;
-    let line_start = before.rfind('\n').map(|i| i + 1).unwrap_or(0);
-    let col = before[line_start..].chars().map(char::len_utf16).sum::<usize>() as u32;
-    (line, col)
+    LineIndex::new(src).offset_to_utf16(src, offset)
 }
 
 /// Convert a 0-based line and 0-based UTF-16 column into a byte
-/// offset.  Columns past the line end clamp to the line end; columns
-/// splitting a surrogate pair round down to the scalar's start.
-/// Returns `None` when `line` exceeds the number of lines in `src`.
+/// offset; see [`LineIndex::utf16_to_offset`].
 pub fn utf16_to_offset(src: &str, line: u32, col: u32) -> Option<usize> {
-    let mut start = 0usize;
-    for _ in 0..line {
-        start = src[start..].find('\n').map(|i| start + i + 1)?;
-    }
-    let end = src[start..].find('\n').map(|i| start + i).unwrap_or(src.len());
-    let mut units = 0u32;
-    for (i, ch) in src[start..end].char_indices() {
-        if units >= col {
-            return Some(start + i);
-        }
-        units += ch.len_utf16() as u32;
-        if units > col {
-            // `col` splits a surrogate pair: round down to its start.
-            return Some(start + i);
-        }
-    }
-    Some(end)
+    LineIndex::new(src).utf16_to_offset(src, line, col)
 }
 
 impl Span {

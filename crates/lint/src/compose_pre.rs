@@ -23,6 +23,7 @@ use pospec_core::{
 };
 use pospec_lang::parser::DevStmt;
 use pospec_lang::TextEdit;
+use std::borrow::Cow;
 
 /// Render at most `max` granules of `s`, with an ellipsis beyond.
 pub(crate) fn sample_events(s: &EventSet, u: &Universe, max: usize) -> String {
@@ -49,7 +50,7 @@ pub(crate) fn run(ctx: &mut Ctx<'_>, sink: &mut DiagSink) {
                 };
                 match compose(&l, &r) {
                     Ok(c) => {
-                        ctx.dev.insert(name.clone(), c);
+                        ctx.dev.insert(name.clone(), Cow::Owned(c));
                     }
                     Err(_) => {
                         // Recompute the two Def.-10 overlaps so the

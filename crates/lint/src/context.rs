@@ -1,27 +1,29 @@
-//! Shared analysis state: per-spec elaboration with error recovery.
+//! Shared analysis state, read from one version's front end.
 //!
-//! Unlike `pospec_lang::elaborate`, which aborts at the first error,
-//! the linter elaborates every `spec` block *independently* against the
-//! one shared universe, so a broken spec does not hide findings in its
-//! neighbours.  Elaboration failures of specs the names pass judged
-//! clean are exactly Def.-1 violations and surface as `P009`.
+//! The linter reads each `spec` block's elaboration result from the
+//! version's [`Elaborated`] value, which elaborated every block
+//! *independently* against the one shared universe, so a broken spec
+//! does not hide findings in its neighbours.  Elaboration failures of
+//! specs the names pass judged clean are exactly Def.-1 violations and
+//! surface as `P009`.
 
 use crate::diag::{Code, DiagSink, Diagnostic};
 use pospec_alphabet::{ArgSpec, EventPattern, EventSet, ObjSpec, Universe};
 use pospec_core::{DfaCache, Specification};
-use pospec_lang::elab::elaborate_spec;
 use pospec_lang::parser::{ArgAst, Ast, TemplateAst};
-use pospec_lang::ElabSession;
+use pospec_lang::Elaborated;
 use pospec_regex::ConcreteDfa;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One `spec` block's analysis state.
-pub(crate) struct SpecInfo {
+pub(crate) struct SpecInfo<'a> {
     /// Index into `ast.specs`.
     pub decl: usize,
-    /// The elaborated specification, when elaboration succeeded.
-    pub spec: Option<Specification>,
+    /// The elaborated specification, when elaboration succeeded and the
+    /// names pass found the block clean.
+    pub spec: Option<&'a Specification>,
     /// The event set of each alphabet template, in declaration order
     /// (`None` when the template did not resolve).
     pub template_sets: Vec<Option<EventSet>>,
@@ -33,11 +35,11 @@ pub(crate) struct Ctx<'a> {
     /// The original document text (fix edits splice into it).
     pub src: &'a str,
     pub universe: Arc<Universe>,
-    pub specs: Vec<SpecInfo>,
+    pub specs: Vec<SpecInfo<'a>>,
     /// Specifications the development statements can reference: every
     /// elaborated spec (first declaration wins) plus successfully
     /// composed `compose` results, inserted by the composition pass.
-    pub dev: BTreeMap<String, Specification>,
+    pub dev: BTreeMap<String, Cow<'a, Specification>>,
     /// Name → index into `specs` (first declaration wins), so per-leaf
     /// lookups stay O(log n) on thousand-spec documents.
     by_name: BTreeMap<String, usize>,
@@ -46,48 +48,44 @@ pub(crate) struct Ctx<'a> {
 }
 
 impl<'a> Ctx<'a> {
-    #[allow(clippy::too_many_arguments)]
+    /// The shared state over `value`, whose universe elaborated.  Specs
+    /// the names pass marked `dirty` are skipped: their elaboration
+    /// failures are already explained.  The others' failures are
+    /// reported as `P009`.
     pub fn build(
-        ast: &'a Ast,
+        value: &'a Elaborated,
+        universe: &Arc<Universe>,
         src: &'a str,
-        universe: Arc<Universe>,
         dirty: &[bool],
         depth: usize,
         cache: &'a DfaCache,
-        mut session: Option<&mut ElabSession>,
         sink: &mut DiagSink,
     ) -> Ctx<'a> {
+        let ast = &value.ast;
         let mut specs = Vec::new();
         let mut dev = BTreeMap::new();
         let mut by_name = BTreeMap::new();
-        for (i, sd) in ast.specs.iter().enumerate() {
+        for (i, (sd, elaborated)) in ast.specs.iter().zip(&value.specs).enumerate() {
             by_name.entry(sd.name.clone()).or_insert(i);
-            let spec = if dirty[i] {
-                None
-            } else {
-                let elaborated = match session.as_deref_mut() {
-                    Some(s) => s.spec(&universe, sd).map(|(spec, _, _)| spec),
-                    None => elaborate_spec(&universe, sd),
-                };
-                match elaborated {
-                    Ok(s) => Some(s),
-                    Err(e) => {
-                        sink.push(Diagnostic::new(Code::P009, e.message).at(e.span));
-                        None
-                    }
+            let spec = match elaborated {
+                _ if dirty[i] => None,
+                Ok(s) => Some(s),
+                Err(e) => {
+                    sink.push(Diagnostic::new(Code::P009, e.message.clone()).at(e.span));
+                    None
                 }
             };
-            if let Some(s) = &spec {
-                dev.entry(sd.name.clone()).or_insert_with(|| s.clone());
+            if let Some(s) = spec {
+                dev.entry(sd.name.clone()).or_insert(Cow::Borrowed(s));
             }
-            let template_sets = sd.alphabet.iter().map(|t| pattern_set(&universe, t)).collect();
+            let template_sets = sd.alphabet.iter().map(|t| pattern_set(universe, t)).collect();
             specs.push(SpecInfo { decl: i, spec, template_sets });
         }
-        Ctx { ast, src, universe, specs, dev, by_name, depth, cache }
+        Ctx { ast, src, universe: Arc::clone(universe), specs, dev, by_name, depth, cache }
     }
 
     /// Find the `SpecInfo` of the first declaration named `name`.
-    pub fn spec_by_name(&self, name: &str) -> Option<&SpecInfo> {
+    pub fn spec_by_name(&self, name: &str) -> Option<&SpecInfo<'a>> {
         self.by_name.get(name).map(|&i| &self.specs[i])
     }
 

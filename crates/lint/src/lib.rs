@@ -43,39 +43,35 @@ pub use pospec_lang::{apply_edits, coalesce_deletions, EditError, TextEdit};
 
 use context::Ctx;
 use pospec_core::DfaCache;
-use pospec_lang::elab::elaborate_universe;
 use pospec_lang::parser::parse;
-use pospec_lang::ElabSession;
+use pospec_lang::{ElabSession, Elaborated, LangError};
 
 /// Lint one `.pos` document through a fresh automaton cache.
 ///
 /// `file` is only used to label the report; `src` is the document text.
 /// A cache kept across calls would never hit: each call elaborates a new
 /// universe, and the cache keys alphabets by universe address.  Callers
-/// that re-lint one universe pass their cache to
-/// [`lint_document_session`].
+/// that keep a version's front end lint it with [`lint_elaborated`].
 pub fn lint_document(file: &str, src: &str, config: &LintConfig) -> LintReport {
     lint_document_cached(file, src, config, &DfaCache::new())
 }
 
-/// Like [`lint_document`], with an explicit [`DfaCache`] (the server
-/// passes its own so lint requests share automata with `check`).
+/// Like [`lint_document`], with an explicit [`DfaCache`].
 pub fn lint_document_cached(
     file: &str,
     src: &str,
     config: &LintConfig,
     cache: &DfaCache,
 ) -> LintReport {
-    lint_inner(file, src, config, cache, None)
+    let front = parse(src).map(Elaborated::new);
+    lint_elaborated(file, src, front.as_ref(), config, cache)
 }
 
-/// The incremental entry point: like [`lint_document_cached`], but
-/// elaboration goes through an [`ElabSession`] so re-linting an edited
-/// document re-elaborates only the changed declarations.  Every pass
-/// still runs in full — diagnostics are a pure function of the
-/// document, so the report is identical to the non-incremental one;
-/// only the elaboration and automaton work is saved (the session keeps
-/// the same `Arc<Universe>` alive, which keeps `cache` warm).
+/// Like [`lint_document_cached`], with elaboration through an
+/// [`ElabSession`], so re-linting an edited document re-elaborates only
+/// the changed declarations and keeps the same `Arc<Universe>` (which
+/// keeps `cache` warm).  The report is identical to the non-incremental
+/// one.
 pub fn lint_document_session(
     file: &str,
     src: &str,
@@ -83,22 +79,31 @@ pub fn lint_document_session(
     cache: &DfaCache,
     session: &mut ElabSession,
 ) -> LintReport {
-    lint_inner(file, src, config, cache, Some(session))
+    let front = parse(src).map(|ast| session.elaborate(ast).0);
+    lint_elaborated(file, src, front.as_ref(), config, cache)
 }
 
-fn lint_inner(
+/// Lint one document version's front end: `src` parsed into `front`
+/// (or failed to parse with its error).  Every other entry point is a
+/// wrapper that builds `front` first; a caller that already holds the
+/// version's [`Elaborated`] value (the registry, the LSP) passes it
+/// here, so the version is parsed and elaborated once.
+///
+/// Every pass runs in full: diagnostics are a pure function of the
+/// document, whoever elaborated it and whatever `cache` holds.
+pub fn lint_elaborated(
     file: &str,
     src: &str,
+    front: Result<&Elaborated, &LangError>,
     config: &LintConfig,
     cache: &DfaCache,
-    mut session: Option<&mut ElabSession>,
 ) -> LintReport {
     let mut sink = DiagSink::new(config.clone());
 
     // P001 — syntax. A parse error is fatal for the later passes, but
     // the report is still well-formed (one diagnostic, correct span).
-    let ast = match parse(src) {
-        Ok(ast) => ast,
+    let value = match front {
+        Ok(value) => value,
         Err(e) => {
             sink.push(Diagnostic::new(Code::P001, e.message.clone()).at(e.span));
             return sink.finish(file);
@@ -108,10 +113,7 @@ fn lint_inner(
     // P002 — the universe itself is inconsistent (duplicate names,
     // unknown classes in memberships/signatures).  Without a universe
     // nothing downstream can resolve, so this also short-circuits.
-    let universe = match match session.as_deref_mut() {
-        Some(s) => s.universe(&ast).map(|(u, _, _)| u),
-        None => elaborate_universe(&ast),
-    } {
+    let universe = match &value.universe {
         Ok(u) => u,
         Err(e) => {
             sink.push(Diagnostic::new(Code::P002, e.message.clone()).at(e.span));
@@ -119,8 +121,8 @@ fn lint_inner(
         }
     };
 
-    let dirty = names::run(&ast, &universe, &mut sink);
-    let mut ctx = Ctx::build(&ast, src, universe, &dirty, config.depth, cache, session, &mut sink);
+    let dirty = names::run(&value.ast, universe, &mut sink);
+    let mut ctx = Ctx::build(value, universe, src, &dirty, config.depth, cache, &mut sink);
     compose_pre::run(&mut ctx, &mut sink);
     alphabet::run(&ctx, &mut sink);
     reach::run(&ctx, &mut sink);
@@ -172,12 +174,12 @@ impl DeadlockTimings {
 pub fn time_deadlock_passes(src: &str, depth: usize) -> Option<DeadlockTimings> {
     let mut config = LintConfig::default();
     config.depth = depth;
-    let ast = parse(src).ok()?;
-    let universe = elaborate_universe(&ast).ok()?;
+    let value = Elaborated::new(parse(src).ok()?);
+    let universe = value.universe.as_ref().ok()?;
     let cache = DfaCache::new();
     let mut scratch = DiagSink::new(config.clone());
-    let dirty = names::run(&ast, &universe, &mut scratch);
-    let mut ctx = Ctx::build(&ast, src, universe, &dirty, config.depth, &cache, None, &mut scratch);
+    let dirty = names::run(&value.ast, universe, &mut scratch);
+    let mut ctx = Ctx::build(&value, universe, src, &dirty, config.depth, &cache, &mut scratch);
     compose_pre::run(&mut ctx, &mut scratch);
     let compositions = ctx
         .ast

@@ -4,9 +4,12 @@
 //! byte span carried in its `data` field are the *same strings and
 //! numbers* `pospec lint --json` emits — the conversion only adds the
 //! UTF-16 `range` view on top, it never rewrites the lint output.
+//!
+//! Every conversion takes the document text with its [`LineIndex`],
+//! built once per version, so a position costs a binary search.
 
 use pospec_json::{ObjBuilder, Value};
-use pospec_lang::pos::offset_to_utf16;
+use pospec_lang::pos::LineIndex;
 use pospec_lang::Span;
 use pospec_lint::{Diagnostic, Severity};
 
@@ -16,13 +19,9 @@ pub fn position_json(line: u32, character: u32) -> Value {
 }
 
 /// An LSP `Range` covering `span` within `src`.
-pub fn span_to_range(src: &str, span: &Span) -> Value {
-    let (sl, sc) = span.utf16_start(src);
-    let (el, ec) = span.utf16_end(src);
-    ObjBuilder::new()
-        .field("start", position_json(sl, sc))
-        .field("end", position_json(el, ec))
-        .build()
+pub fn span_to_range(index: &LineIndex, src: &str, span: &Span) -> Value {
+    let start = span.offset as usize;
+    offset_range(index, src, start, start + span.len as usize)
 }
 
 /// The zero range used for diagnostics with no span (e.g. file-level
@@ -45,9 +44,9 @@ pub fn byte_span_json(span: &Span) -> Value {
 
 /// Convert one lint diagnostic into an LSP `Diagnostic`, with notes as
 /// `relatedInformation`.
-pub fn diagnostic_to_lsp(src: &str, uri: &str, d: &Diagnostic) -> Value {
+pub fn diagnostic_to_lsp(index: &LineIndex, src: &str, uri: &str, d: &Diagnostic) -> Value {
     let range = match &d.span {
-        Some(s) => span_to_range(src, s),
+        Some(s) => span_to_range(index, src, s),
         None => zero_range(),
     };
     let severity: u64 = match d.severity {
@@ -59,7 +58,7 @@ pub fn diagnostic_to_lsp(src: &str, uri: &str, d: &Diagnostic) -> Value {
         .iter()
         .map(|n| {
             let nrange = match &n.span {
-                Some(s) => span_to_range(src, s),
+                Some(s) => span_to_range(index, src, s),
                 None => range.clone(),
             };
             ObjBuilder::new()
@@ -103,20 +102,20 @@ pub fn position_of(v: &Value) -> Option<(u32, u32)> {
 }
 
 /// Resolve an LSP `Position` within `src` to a byte offset.
-pub fn position_to_offset(src: &str, v: &Value) -> Option<usize> {
+pub fn position_to_offset(index: &LineIndex, src: &str, v: &Value) -> Option<usize> {
     let (line, character) = position_of(v)?;
-    pospec_lang::pos::utf16_to_offset(src, line, character)
+    index.utf16_to_offset(src, line, character)
 }
 
 /// A `Location` value for `span` in `uri`.
-pub fn location_json(uri: &str, src: &str, span: &Span) -> Value {
-    ObjBuilder::new().field("uri", uri).field("range", span_to_range(src, span)).build()
+pub fn location_json(uri: &str, index: &LineIndex, src: &str, span: &Span) -> Value {
+    ObjBuilder::new().field("uri", uri).field("range", span_to_range(index, src, span)).build()
 }
 
-/// Byte-offset → LSP position for ad-hoc ranges (hover highlight).
-pub fn offset_range(src: &str, start: usize, end: usize) -> Value {
-    let (sl, sc) = offset_to_utf16(src, start);
-    let (el, ec) = offset_to_utf16(src, end);
+/// The LSP `Range` of the byte range `start..end` (fix edits, spans).
+pub fn offset_range(index: &LineIndex, src: &str, start: usize, end: usize) -> Value {
+    let (sl, sc) = index.offset_to_utf16(src, start);
+    let (el, ec) = index.offset_to_utf16(src, end);
     ObjBuilder::new()
         .field("start", position_json(sl, sc))
         .field("end", position_json(el, ec))
@@ -133,7 +132,7 @@ mod tests {
         let src = "universe { object o; }\n";
         let span = Span { line: 1, col: 12, offset: 11, len: 6 };
         let d = Diagnostic::new(Code::P004, "unknown object `x`".to_string()).at(span);
-        let v = diagnostic_to_lsp(src, "file:///t.pos", &d);
+        let v = diagnostic_to_lsp(&LineIndex::new(src), src, "file:///t.pos", &d);
         assert_eq!(v.get("code").and_then(Value::as_str), Some("P004"));
         assert_eq!(v.get("severity").and_then(Value::as_u64), Some(1));
         let data = v.get("data").expect("byte span");
@@ -149,7 +148,7 @@ mod tests {
         let off = src.find("object").expect("present") as u32;
         let span = Span { line: 2, col: 1, offset: off, len: 6 };
         let d = Diagnostic::new(Code::P102, "m".to_string()).at(span);
-        let v = diagnostic_to_lsp(src, "u", &d);
+        let v = diagnostic_to_lsp(&LineIndex::new(src), src, "u", &d);
         let start = v.get("range").and_then(|r| r.get("start")).expect("range");
         assert_eq!(position_of(start), Some((1, 0)));
         assert_eq!(

@@ -18,10 +18,14 @@
 //!   not touch either endpoint, so hover shows verdicts in O(1) and a
 //!   didChange re-checks only the pairs whose content changed.
 //!
-//! Diagnostics are the five lint passes verbatim: same P-codes, same
+//! Each version is parsed and elaborated once: the registry's load
+//! builds the version's front end and the linter reads that same value.
+//! Diagnostics are the six lint passes verbatim: same P-codes, same
 //! spans, same messages as `pospec lint --json` — the LSP layer only
-//! converts byte spans to UTF-16 positions ([`convert`]) and carries
-//! the original byte span along in each diagnostic's `data` field.
+//! converts byte spans to UTF-16 positions ([`convert`], through a line
+//! index built once per version) and carries the original byte span
+//! along in each diagnostic's `data` field.  Code actions are served
+//! from the report of the last published version.
 //!
 //! The custom `pospec/stats` request exposes the elaboration, pair-
 //! cache and automaton-cache counters, which is how the session tests

@@ -12,7 +12,8 @@ use crate::rpc::{self, code};
 use pospec_check::report::cache_stats_json;
 use pospec_core::DfaCache;
 use pospec_json::{ObjBuilder, Value};
-use pospec_lint::LintConfig;
+use pospec_lang::pos::LineIndex;
+use pospec_lint::{LintConfig, LintReport};
 use pospec_serve::{RegisteredDoc, SpecRegistry};
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
@@ -20,7 +21,18 @@ use std::io::{BufRead, Write};
 /// One open text document, kept in sync by didOpen/didChange.
 struct OpenDoc {
     text: String,
+    /// The line starts of `text`, rebuilt after every applied change.
+    index: LineIndex,
     version: Option<u64>,
+    /// The lint report of the last analysed version of `text`: its
+    /// diagnostics were published, and code actions serve its fixes.
+    report: Option<LintReport>,
+}
+
+impl OpenDoc {
+    fn new(text: String, version: Option<u64>) -> OpenDoc {
+        OpenDoc { index: LineIndex::new(&text), text, version, report: None }
+    }
 }
 
 /// A resident LSP server over one registry and one automaton cache.
@@ -147,7 +159,7 @@ impl LspServer {
             return Vec::new();
         };
         let version = td.get("version").and_then(Value::as_u64);
-        self.docs.insert(uri.to_string(), OpenDoc { text: text.to_string(), version });
+        self.docs.insert(uri.to_string(), OpenDoc::new(text.to_string(), version));
         self.analyze(uri)
     }
 
@@ -170,13 +182,12 @@ impl LspServer {
                 match change.get("range") {
                     // Incremental edit: an UTF-16 range replaced by text.
                     Some(range) => {
-                        let start = range
-                            .get("start")
-                            .and_then(|p| convert::position_to_offset(&doc.text, p));
-                        let end = range
-                            .get("end")
-                            .and_then(|p| convert::position_to_offset(&doc.text, p));
-                        if let (Some(s), Some(e)) = (start, end) {
+                        let offset = |key: &str| {
+                            range
+                                .get(key)
+                                .and_then(|p| convert::position_to_offset(&doc.index, &doc.text, p))
+                        };
+                        if let (Some(s), Some(e)) = (offset("start"), offset("end")) {
                             if s <= e && e <= doc.text.len() {
                                 doc.text.replace_range(s..e, new_text);
                             }
@@ -185,6 +196,8 @@ impl LspServer {
                     // Full-document replacement.
                     None => doc.text = new_text.to_string(),
                 }
+                // The next change's positions refer to this text.
+                doc.index = LineIndex::new(&doc.text);
             }
         }
         doc.version = version.or(doc.version);
@@ -200,6 +213,9 @@ impl LspServer {
             return Vec::new();
         };
         self.docs.remove(uri);
+        // The registered version, its elaboration session and its pair
+        // verdicts go with the text.
+        self.registry.remove(uri);
         // Clear the problems pane for the closed file.
         vec![rpc::notification(
             "textDocument/publishDiagnostics",
@@ -207,41 +223,46 @@ impl LspServer {
         )]
     }
 
-    /// Re-elaborate (incrementally), refresh refine verdicts (dirty
-    /// pairs only), re-lint, and publish diagnostics.
+    /// Parse and elaborate the document once (incrementally), register
+    /// it, refresh refine verdicts (dirty pairs only), lint that same
+    /// front end, and publish diagnostics.
     fn analyze(&mut self, uri: &str) -> Vec<Value> {
-        let Some(doc) = self.docs.get(uri) else { return Vec::new() };
-        let text = doc.text.clone();
-        let version = doc.version;
-        // Register the new version: unchanged specs are reused from the
-        // per-document session, and pair verdicts whose endpoints are
-        // untouched survive.  A parse/elaboration failure keeps the
-        // previous version live (hover and definition keep working);
-        // the lint pass below reports the error with its precise span.
-        if let Ok(outcome) = self.registry.load_source(uri, &text) {
+        let Some(doc) = self.docs.get_mut(uri) else { return Vec::new() };
+        // Unchanged specs are reused from the per-document session, and
+        // pair verdicts whose endpoints are untouched survive.  A parse
+        // or elaboration failure keeps the previous version registered
+        // (hover keeps working); the lint below reports the error with
+        // its precise span.
+        let load = self.registry.load(uri, &doc.text);
+        if let Ok(outcome) = &load.outcome {
             self.registry.refresh_pairs(&outcome.entry, self.depth, &self.cache);
         }
         let mut config = LintConfig::default();
         config.depth = self.depth;
-        let report = self.registry.with_session(uri, |session| {
-            pospec_lint::lint_document_session(uri, &text, &config, &self.cache, session)
-        });
-        let diagnostics: Vec<Value> =
-            report.diagnostics.iter().map(|d| convert::diagnostic_to_lsp(&text, uri, d)).collect();
+        let report =
+            pospec_lint::lint_elaborated(uri, &doc.text, load.front.as_ref(), &config, &self.cache);
+        // The syntax tree lives no longer than this request.
+        drop(load);
+        let diagnostics: Vec<Value> = report
+            .diagnostics
+            .iter()
+            .map(|d| convert::diagnostic_to_lsp(&doc.index, &doc.text, uri, d))
+            .collect();
+        doc.report = Some(report);
         vec![rpc::notification(
             "textDocument/publishDiagnostics",
-            convert::publish_params(uri, version, diagnostics),
+            convert::publish_params(uri, doc.version, diagnostics),
         )]
     }
 
     fn hover(&self, id: &Value, params: Option<&Value>) -> Value {
-        let Some((uri, text, offset)) = self.resolve_position(params) else {
+        let Some((uri, doc, offset)) = self.resolve_position(params) else {
             return rpc::response(id, Value::Null);
         };
-        let Some((name, span)) = analysis::ident_at(&text, offset) else {
+        let Some((name, span)) = analysis::ident_at(&doc.text, offset) else {
             return rpc::response(id, Value::Null);
         };
-        let Some(entry) = self.registry.get(&uri) else {
+        let Some(entry) = self.registry.get(uri) else {
             return rpc::response(id, Value::Null);
         };
         let Some(markdown) = self.hover_markdown(&entry, &name) else {
@@ -254,7 +275,7 @@ impl LspServer {
                     "contents",
                     ObjBuilder::new().field("kind", "markdown").field("value", markdown).build(),
                 )
-                .field("range", convert::span_to_range(&text, &span))
+                .field("range", convert::span_to_range(&doc.index, &doc.text, &span))
                 .build(),
         )
     }
@@ -352,39 +373,32 @@ impl LspServer {
 
     /// `textDocument/codeAction`: every lint fix whose diagnostic
     /// intersects the requested range, served as a `quickfix` workspace
-    /// edit.  The fix's byte-offset edits are converted to UTF-16
-    /// ranges against the *current* document text — the re-lint here
-    /// runs on that same text (unchanged specs are reused from the
-    /// session), so the offsets are always in sync.
-    fn code_action(&mut self, id: &Value, params: Option<&Value>) -> Value {
-        let Some(params) = params else { return rpc::response(id, Value::Arr(Vec::new())) };
+    /// edit.  The fixes come from the report of the last analysed
+    /// version, which is the current text (every change re-analyses), so
+    /// their byte offsets are in sync and nothing is linted again.
+    fn code_action(&self, id: &Value, params: Option<&Value>) -> Value {
+        let none = || rpc::response(id, Value::Arr(Vec::new()));
+        let Some(params) = params else { return none() };
         let Some(uri) =
             params.get("textDocument").and_then(|t| t.get("uri")).and_then(Value::as_str)
         else {
-            return rpc::response(id, Value::Arr(Vec::new()));
+            return none();
         };
-        let uri = uri.to_string();
-        let Some(doc) = self.docs.get(&uri) else {
-            return rpc::response(id, Value::Arr(Vec::new()));
-        };
-        let text = doc.text.clone();
+        let Some(doc) = self.docs.get(uri) else { return none() };
+        let Some(report) = &doc.report else { return none() };
+        let (index, text) = (&doc.index, doc.text.as_str());
         let (start, end) = match params.get("range") {
             Some(r) => {
-                let s = r.get("start").and_then(|p| convert::position_to_offset(&text, p));
-                let e = r.get("end").and_then(|p| convert::position_to_offset(&text, p));
+                let s = r.get("start").and_then(|p| convert::position_to_offset(index, text, p));
+                let e = r.get("end").and_then(|p| convert::position_to_offset(index, text, p));
                 match (s, e) {
                     (Some(s), Some(e)) => (s, e.max(s)),
-                    _ => return rpc::response(id, Value::Arr(Vec::new())),
+                    _ => return none(),
                 }
             }
             // No range: serve every available fix.
             None => (0, text.len()),
         };
-        let mut config = LintConfig::default();
-        config.depth = self.depth;
-        let report = self.registry.with_session(&uri, |session| {
-            pospec_lint::lint_document_session(&uri, &text, &config, &self.cache, session)
-        });
         let mut actions = Vec::new();
         for d in &report.diagnostics {
             let Some(fix) = &d.fix else { continue };
@@ -400,7 +414,7 @@ impl LspServer {
                 .iter()
                 .map(|e| {
                     ObjBuilder::new()
-                        .field("range", convert::offset_range(&text, e.start, e.end))
+                        .field("range", convert::offset_range(index, text, e.start, e.end))
                         .field("newText", e.replacement.as_str())
                         .build()
                 })
@@ -408,14 +422,14 @@ impl LspServer {
             let mut b = ObjBuilder::new()
                 .field("title", fix.title.as_str())
                 .field("kind", "quickfix")
-                .field("diagnostics", Value::Arr(vec![convert::diagnostic_to_lsp(&text, &uri, d)]))
+                .field(
+                    "diagnostics",
+                    Value::Arr(vec![convert::diagnostic_to_lsp(index, text, uri, d)]),
+                )
                 .field(
                     "edit",
                     ObjBuilder::new()
-                        .field(
-                            "changes",
-                            ObjBuilder::new().field(uri.as_str(), Value::Arr(edits)).build(),
-                        )
+                        .field("changes", ObjBuilder::new().field(uri, Value::Arr(edits)).build())
                         .build(),
                 );
             if fix.applicability == pospec_lint::Applicability::MachineApplicable {
@@ -427,26 +441,31 @@ impl LspServer {
     }
 
     fn definition(&self, id: &Value, params: Option<&Value>) -> Value {
-        let Some((uri, text, offset)) = self.resolve_position(params) else {
+        let Some((uri, doc, offset)) = self.resolve_position(params) else {
             return rpc::response(id, Value::Null);
         };
-        let Some((name, _)) = analysis::ident_at(&text, offset) else {
+        let Some((name, _)) = analysis::ident_at(&doc.text, offset) else {
             return rpc::response(id, Value::Null);
         };
-        match analysis::definition_of(&text, &name) {
-            Some(span) => rpc::response(id, convert::location_json(&uri, &text, &span)),
+        match analysis::definition_of(&doc.text, &name) {
+            Some(span) => {
+                rpc::response(id, convert::location_json(uri, &doc.index, &doc.text, &span))
+            }
             None => rpc::response(id, Value::Null),
         }
     }
 
-    /// `(uri, text, byte offset)` for a request carrying
+    /// `(uri, document, byte offset)` for a request carrying
     /// `textDocument.uri` + `position`.
-    fn resolve_position(&self, params: Option<&Value>) -> Option<(String, String, usize)> {
+    fn resolve_position<'a>(
+        &'a self,
+        params: Option<&'a Value>,
+    ) -> Option<(&'a str, &'a OpenDoc, usize)> {
         let params = params?;
         let uri = params.get("textDocument")?.get("uri")?.as_str()?;
         let doc = self.docs.get(uri)?;
-        let offset = convert::position_to_offset(&doc.text, params.get("position")?)?;
-        Some((uri.to_string(), doc.text.clone(), offset))
+        let offset = convert::position_to_offset(&doc.index, &doc.text, params.get("position")?)?;
+        Some((uri, doc, offset))
     }
 
     /// The incrementality counters: per-session elaborations/reuses,

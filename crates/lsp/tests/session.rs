@@ -226,11 +226,13 @@ fn golden_session_proves_incrementality_by_counters() {
     assert_eq!(path(pubs[1], &["version"]), 2);
     assert!(diagnostics(pubs[1]).is_empty(), "still clean: {:?}", pubs[1]);
 
-    // Counters: didOpen elaborated all three specs once (lint shares
-    // the session, so the five passes add zero re-elaborations) and
-    // checked both refine pairs.
+    // Counters: didOpen elaborated all three specs once (lint reads
+    // the front end the load built, so the six passes add zero
+    // re-elaborations and zero session lookups) and checked both
+    // refine pairs.
     let s1 = response_to(&out, 2).get("result").expect("stats");
     assert_eq!(path(s1, &["registry", "elaborations"]), 3);
+    assert_eq!(path(s1, &["registry", "spec_reuses"]), 0);
     assert_eq!(path(s1, &["registry", "pair_checks"]), 2);
     assert_eq!(path(s1, &["registry", "pair_hits"]), 0);
 
@@ -243,6 +245,9 @@ fn golden_session_proves_incrementality_by_counters() {
         4,
         "one keystroke, one re-elaboration: {s2:?}"
     );
+    // One front end per version: the untouched `A` and `B` are reused
+    // once each.
+    assert_eq!(path(s2, &["registry", "spec_reuses"]), 2, "{s2:?}");
     assert_eq!(path(s2, &["registry", "pair_checks"]), 4);
     assert_eq!(path(s2, &["registry", "pair_hits"]), 1, "clean pair served from cache");
     // The automaton cache only rebuilt the edited spec's machinery.
@@ -392,7 +397,9 @@ fn did_close_clears_diagnostics() {
     let script = [
         request(1, "initialize", Value::Obj(Vec::new())),
         did_open(URI, &bad),
+        request(3, "pospec/stats", Value::Null),
         close,
+        request(4, "pospec/stats", Value::Null),
         request(2, "shutdown", Value::Null),
         notification("exit", Value::Null),
     ];
@@ -402,6 +409,49 @@ fn did_close_clears_diagnostics() {
     assert_eq!(pubs.len(), 2);
     assert!(!diagnostics(pubs[0]).is_empty(), "bad doc reports");
     assert!(diagnostics(pubs[1]).is_empty(), "closing clears the problems pane");
+
+    // The registry forgets the closed document too; its counters do
+    // not go back.
+    let open = response_to(&out, 3).get("result").expect("stats");
+    let closed = response_to(&out, 4).get("result").expect("stats");
+    assert_eq!(path(open, &["registry", "documents"]), 1);
+    assert_eq!(path(closed, &["registry", "documents"]), 0, "{closed:?}");
+    assert_eq!(
+        path(closed, &["registry", "elaborations"]),
+        path(open, &["registry", "elaborations"])
+    );
+}
+
+#[test]
+fn code_action_serves_the_published_report_without_relinting() {
+    let doc = DOC.replace(
+        "spec B { objects { o } alphabet { <Env, o, OP>; <o, b, OP>; }",
+        "spec B { objects { o } alphabet { <Env, o, OP>; <o, b, OP>; <o, b, OP>; }",
+    );
+    let params = ObjBuilder::new()
+        .field("textDocument", ObjBuilder::new().field("uri", URI).build())
+        .field("context", ObjBuilder::new().field("diagnostics", Value::Arr(Vec::new())).build())
+        .build();
+    let script = [
+        request(1, "initialize", Value::Obj(Vec::new())),
+        did_open(URI, &doc),
+        request(2, "pospec/stats", Value::Null),
+        request(3, "textDocument/codeAction", params.clone()),
+        request(4, "textDocument/codeAction", params),
+        request(5, "pospec/stats", Value::Null),
+        request(6, "shutdown", Value::Null),
+        notification("exit", Value::Null),
+    ];
+    let (code, out) = run_session(&script);
+    assert_eq!(code, 0);
+    let actions = response_to(&out, 3).get("result").and_then(Value::as_arr).expect("actions");
+    assert_eq!(actions.len(), 1, "the P101 fix: {actions:?}");
+    assert_eq!(response_to(&out, 4).get("result"), response_to(&out, 3).get("result"));
+    // No parse, elaboration, pair check or automaton lookup: every
+    // counter reads as before the two requests.
+    let before = response_to(&out, 2).get("result").expect("stats");
+    let after = response_to(&out, 5).get("result").expect("stats");
+    assert_eq!(before, after);
 }
 
 #[test]
@@ -548,7 +598,7 @@ fn incremental_relint_timing() {
         assert_ne!(edited, doc, "edit must hit the last spec");
 
         // Full: what a non-incremental editor loop does per keystroke —
-        // parse + elaborate *everything*, run the five passes, and
+        // parse + elaborate *everything*, run the six passes, and
         // re-check every refine obligation.  The DFA cache is shared
         // across runs, but a fresh `Arc<Universe>` per run defeats its
         // pointer-keyed interning.
@@ -571,27 +621,24 @@ fn incremental_relint_timing() {
 
         // Incremental: the LSP's analyze() path — register the edit
         // (the session re-elaborates only the changed spec), refresh
-        // verdicts (only the dirty pair re-checks), re-lint through
-        // the same session.
+        // verdicts (only the dirty pair re-checks), and lint the front
+        // end the load built.
         let registry = SpecRegistry::new();
         let cache = DfaCache::new();
-        let out = registry.load_source("t", &doc).expect("well-formed");
-        registry.refresh_pairs(&out.entry, DEPTH, &cache);
-        registry.with_session("t", |s| {
-            pospec_lint::lint_document_session("t", &doc, &config, &cache, s)
-        });
+        let round = |text: &str| {
+            let load = registry.load("t", text);
+            let out = load.outcome.as_ref().expect("well-formed");
+            registry.refresh_pairs(&out.entry, DEPTH, &cache);
+            pospec_lint::lint_elaborated("t", text, load.front.as_ref(), &config, &cache);
+            out.reelaborated.len() as u32
+        };
+        round(&doc);
         let t = Instant::now();
         let mut reelabs = 0u32;
-        for round in 0..runs {
+        for r in 0..runs {
             // Alternate the last spec's trace set so every round is a
             // real one-spec change.
-            let text = if round % 2 == 0 { &edited } else { &doc };
-            let out = registry.load_source("t", text).expect("well-formed");
-            reelabs += out.reelaborated.len() as u32;
-            registry.refresh_pairs(&out.entry, DEPTH, &cache);
-            registry.with_session("t", |s| {
-                pospec_lint::lint_document_session("t", text, &config, &cache, s)
-            });
+            reelabs += round(if r % 2 == 0 { &edited } else { &doc });
         }
         let incr_ms = t.elapsed().as_secs_f64() * 1000.0 / runs as f64;
         println!(

@@ -61,6 +61,6 @@ pub use client::{error_kind, response_ok, Client, ClientError};
 pub use metrics::{MetricsSnapshot, ServerMetrics};
 pub use pool::{SubmitError, WorkerPool};
 pub use protocol::{error_response, ok_response, parse_request, Envelope, ProtoError, Request};
-pub use registry::{LoadOutcome, RegisteredDoc, SpecRegistry};
+pub use registry::{Load, LoadOutcome, RegisteredDoc, SpecRegistry};
 pub use retry::{request_idempotent, RetryPolicy, RetrySchedule};
 pub use server::{Server, ServerConfig};

@@ -26,14 +26,21 @@
 //! recomputed on the next check.  This lives here rather than in the
 //! LSP so the serve reload path gets the same incrementality for free.
 //!
+//! A load parses and elaborates its version once, into an
+//! [`Elaborated`] value, and hands that value back whether the version
+//! was registered or refused, so the caller can lint it without a
+//! second front end.  The registry keeps no syntax tree:
+//! [`RegisteredDoc::front_end`] re-parses a registered version's source
+//! and reuses its universe and specifications.
+//!
 //! A registry can be made *strict*: every load then also runs the
-//! static analyzer (`pospec-lint`) and refuses documents with
-//! error-severity diagnostics — a resident service should not hold
+//! static analyzer (`pospec-lint`) over that value and refuses documents
+//! with error-severity diagnostics — a resident service should not hold
 //! specifications that are already known to be broken.
 
 use pospec_core::{check_refinement_cached, DfaCache, Verdict};
-use pospec_lang::parser::DevStmt;
-use pospec_lang::{parse_document_session, Document, ElabSession};
+use pospec_lang::parser::{parse, DevStmt};
+use pospec_lang::{Document, ElabSession, Elaborated, LangError, SessionLoad};
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -78,9 +85,32 @@ impl RegisteredDoc {
             })
             .collect()
     }
+
+    /// This version's front end: its source parsed again, over the
+    /// registered universe and specifications, so nothing is elaborated
+    /// again and automata built for `check` serve the linter too.
+    pub fn front_end(&self) -> Result<Elaborated, LangError> {
+        let ast = parse(&self.source)?;
+        // A registered version elaborated without error, one spec per
+        // `spec` block, in order.
+        let specs = self.doc.specs.iter().cloned().map(Ok).collect();
+        Ok(Elaborated { ast, universe: Ok(Arc::clone(&self.doc.universe)), specs })
+    }
 }
 
-/// What one [`SpecRegistry::load_source`] call did.
+/// What one [`SpecRegistry::load`] call built and did.
+#[derive(Debug)]
+pub struct Load {
+    /// The version's front end, built once: the parse error, or the
+    /// syntax tree with the universe and every spec's elaboration
+    /// result.  Lint it with `pospec_lint::lint_elaborated`.
+    pub front: Result<Elaborated, LangError>,
+    /// The registration, or why the version was refused (the previous
+    /// version, if any, stays live).
+    pub outcome: Result<LoadOutcome, String>,
+}
+
+/// What registering one version did.
 #[derive(Debug)]
 pub struct LoadOutcome {
     /// The freshly registered document.
@@ -116,6 +146,10 @@ pub struct SpecRegistry {
     sessions: Mutex<HashMap<String, ElabSession>>,
     pairs: Mutex<HashMap<PairKey, PairEntry>>,
     loads: AtomicU64,
+    /// Elaborations and reuses of the sessions of removed documents, so
+    /// the totals never go down.
+    removed_elaborations: AtomicU64,
+    removed_reuses: AtomicU64,
     strict: AtomicBool,
     pair_checks: AtomicU64,
     pair_hits: AtomicU64,
@@ -138,19 +172,52 @@ impl SpecRegistry {
         self.strict.load(Ordering::Relaxed)
     }
 
-    /// Elaborate `source` and register it under `name`, replacing (and
-    /// version-bumping) any previous document of that name.  Unchanged
-    /// declarations are reused from the per-name [`ElabSession`];
-    /// cached pair verdicts whose endpoints changed are evicted.  On
-    /// any error the previous version (if any) stays live.
-    pub fn load_source(&self, name: &str, source: &str) -> Result<LoadOutcome, String> {
-        let (doc, load) = {
+    /// Parse and elaborate `source` once, through the per-name
+    /// [`ElabSession`] (unchanged declarations are reused), and register
+    /// it under `name`, replacing (and version-bumping) any previous
+    /// document of that name; cached pair verdicts whose endpoints
+    /// changed are evicted.  On any error the previous version (if any)
+    /// stays live.  The front end comes back either way.
+    pub fn load(&self, name: &str, source: &str) -> Load {
+        let elaborated = parse(source).map(|ast| {
             let mut sessions = self.sessions.lock().unwrap_or_else(|e| e.into_inner());
-            let session = sessions.entry(name.to_string()).or_default();
-            parse_document_session(source, session).map_err(|e| e.to_string())?
-        };
+            sessions.entry(name.to_string()).or_default().elaborate(ast)
+        });
+        match elaborated {
+            Ok((value, load)) => {
+                let outcome = self.register(name, source, &value, load);
+                Load { front: Ok(value), outcome }
+            }
+            Err(e) => {
+                let outcome = Err(render(e.clone(), source));
+                Load { front: Err(e), outcome }
+            }
+        }
+    }
+
+    /// [`SpecRegistry::load`], for callers that do not lint the version.
+    pub fn load_source(&self, name: &str, source: &str) -> Result<LoadOutcome, String> {
+        self.load(name, source).outcome
+    }
+
+    /// Register the elaborated `value` of `source` under `name`, unless
+    /// it has an error or (strict registry) lints with errors.
+    fn register(
+        &self,
+        name: &str,
+        source: &str,
+        value: &Elaborated,
+        load: SessionLoad,
+    ) -> Result<LoadOutcome, String> {
+        let doc = value.document().map_err(|e| render(e, source))?;
         if self.is_strict() {
-            let report = pospec_lint::lint_document(name, source, &Default::default());
+            let report = pospec_lint::lint_elaborated(
+                name,
+                source,
+                Ok(value),
+                &Default::default(),
+                &DfaCache::new(),
+            );
             if report.has_errors() {
                 let first = report
                     .diagnostics
@@ -224,25 +291,30 @@ impl SpecRegistry {
         })
     }
 
-    /// Run `f` with the per-document elaboration session of `name`
-    /// (created empty on first use).  The LSP uses this to share one
-    /// session between `load_source` and incremental linting, so an
-    /// edit's spec is elaborated exactly once across both.
-    pub fn with_session<R>(&self, name: &str, f: impl FnOnce(&mut ElabSession) -> R) -> R {
-        let mut sessions = self.sessions.lock().unwrap_or_else(|e| e.into_inner());
-        f(sessions.entry(name.to_string()).or_default())
+    /// Forget the document registered under `name`: its current
+    /// version, its elaboration session and its cached pair verdicts.
+    pub fn remove(&self, name: &str) {
+        self.docs.write().unwrap_or_else(|e| e.into_inner()).remove(name);
+        let session = self.sessions.lock().unwrap_or_else(|e| e.into_inner()).remove(name);
+        if let Some(s) = session {
+            self.removed_elaborations.fetch_add(s.elaborations(), Ordering::Relaxed);
+            self.removed_reuses.fetch_add(s.reuses(), Ordering::Relaxed);
+        }
+        self.pairs.lock().unwrap_or_else(|e| e.into_inner()).retain(|(d, ..), _| d != name);
     }
 
     /// Total spec elaborations performed across all sessions.
     pub fn elaborations(&self) -> u64 {
         let sessions = self.sessions.lock().unwrap_or_else(|e| e.into_inner());
-        sessions.values().map(|s| s.elaborations()).sum()
+        let live: u64 = sessions.values().map(|s| s.elaborations()).sum();
+        live + self.removed_elaborations.load(Ordering::Relaxed)
     }
 
     /// Total spec elaborations avoided across all sessions.
     pub fn spec_reuses(&self) -> u64 {
         let sessions = self.sessions.lock().unwrap_or_else(|e| e.into_inner());
-        sessions.values().map(|s| s.reuses()).sum()
+        let live: u64 = sessions.values().map(|s| s.reuses()).sum();
+        live + self.removed_reuses.load(Ordering::Relaxed)
     }
 
     /// Check `concrete ⊑ abstract` within `entry`'s document, serving
@@ -380,10 +452,16 @@ impl SpecRegistry {
             .sum()
     }
 
-    /// Total successful `load_source` calls (reloads included).
+    /// Total successful loads (reloads included).
     pub fn loads(&self) -> u64 {
         self.loads.load(Ordering::Relaxed)
     }
+}
+
+/// A front-end error as a load reports it: with its source line and a
+/// caret underline.
+fn render(e: LangError, source: &str) -> String {
+    e.with_source(source).to_string()
 }
 
 #[cfg(test)]

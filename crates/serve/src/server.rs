@@ -581,18 +581,27 @@ fn execute(envelope: &Envelope, shared: &Arc<Shared>) -> Value {
             let mut config = pospec_lint::LintConfig::default();
             config.depth = *depth;
             config.deny_warnings = *deny_warnings;
-            let (label, src) = match (doc, source) {
+            let report = match (doc, source) {
+                // A registered version is linted over its own universe
+                // and specs through the shared cache, so lint reuses the
+                // automata `check` built, and a repeated lint builds none.
                 (Some(name), None) => match shared.registry.get(name) {
-                    Some(d) => (d.name.clone(), d.source.clone()),
+                    Some(d) => pospec_lint::lint_elaborated(
+                        &d.name,
+                        &d.source,
+                        d.front_end().as_ref(),
+                        &config,
+                        &shared.cache,
+                    ),
                     None => return NotFound::doc(name).into_response(id),
                 },
-                (None, Some(src)) => ("<inline>".to_string(), src.clone()),
+                // An inline source elaborates a universe of its own, which
+                // the shared cache could never hit again: it gets a cache
+                // of its own, dropped with the request.
+                (None, Some(src)) => pospec_lint::lint_document("<inline>", src, &config),
                 // parse_request guarantees exactly one of the two.
                 _ => return error_response(id, "bad_request", "lint needs `doc` xor `source`"),
             };
-            // Shares the server's automaton cache, so linting a
-            // registered document reuses DFAs built by `check`.
-            let report = pospec_lint::lint_document_cached(&label, &src, &config, &shared.cache);
             ok_response(id, "lint", report.to_json())
         }
         Request::Ping { delay_ms } => {

@@ -269,6 +269,72 @@ fn lint_requests_match_the_library_report_json() {
     fixture.stop();
 }
 
+/// `metrics.cache.<key>` of a `stats` reply.
+fn cache_counter(client: &mut Client, key: &str) -> u64 {
+    let stats = client.call(&op("stats").build()).expect("stats");
+    result(&stats, "metrics")
+        .and_then(|m| m.get("cache"))
+        .and_then(|c| c.get(key))
+        .and_then(Value::as_u64)
+        .expect("counter")
+}
+
+#[test]
+fn lint_reuses_registered_automata_and_inline_lints_stay_request_local() {
+    use pospec_gen::{generate, Family, GenConfig};
+
+    let scenario = generate(&GenConfig::new(Family::Ring, 12, 5)).expect("generate ring");
+    let src = scenario.document.as_str();
+    let fixture = start(1, 8, false);
+    let mut client = fixture.client();
+    let response = client
+        .call(&op("load_spec").field("name", "ring").field("source", src).build())
+        .expect("load_spec");
+    assert!(response_ok(&response), "load_spec failed: {response:?}");
+    let batch = Value::Arr(
+        scenario
+            .manifest
+            .refinements
+            .iter()
+            .map(|r| Value::Arr(vec![r.concrete.as_str().into(), r.abstract_.as_str().into()]))
+            .collect(),
+    );
+    let checked = client
+        .call(&op("batch_check").field("doc", "ring").field("pairs", batch).build())
+        .expect("batch_check");
+    assert!(response_ok(&checked), "batch_check failed: {checked:?}");
+
+    let mut config = pospec_lint::LintConfig::default();
+    config.depth = 4;
+    let lint = |client: &mut Client, field: &str, value: &str| {
+        let request = op("lint").field(field, value).field("depth", 4u64).build();
+        let response = client.call(&request).expect("lint");
+        assert!(response_ok(&response), "lint failed: {response:?}");
+        response.get("result").expect("result").clone()
+    };
+
+    // A registered document lints over its own universe: the reply is
+    // the from-scratch report, and a second lint builds no automaton.
+    let expected = pospec_lint::lint_document("ring", src, &config).to_json();
+    let first = lint(&mut client, "doc", "ring");
+    assert_eq!(first, expected);
+    let (dfa, lift) =
+        (cache_counter(&mut client, "dfa_misses"), cache_counter(&mut client, "lift_misses"));
+    assert_eq!(lint(&mut client, "doc", "ring"), expected);
+    assert_eq!(cache_counter(&mut client, "dfa_misses"), dfa, "second lint rebuilt automata");
+    assert_eq!(cache_counter(&mut client, "lift_misses"), lift, "second lint rebuilt lifts");
+
+    // Inline sources lint through a cache of their own: the shared one
+    // does not grow, and every reply is the library's report.
+    let expected = pospec_lint::lint_document("<inline>", src, &config).to_json();
+    for _ in 0..3 {
+        assert_eq!(lint(&mut client, "source", src), expected);
+    }
+    assert_eq!(cache_counter(&mut client, "dfa_misses"), dfa, "inline lints grew the shared cache");
+    assert_eq!(cache_counter(&mut client, "lift_misses"), lift);
+    fixture.stop();
+}
+
 #[test]
 fn strict_server_refuses_documents_with_lint_errors() {
     let config = ServerConfig {
