@@ -6,10 +6,18 @@
 //!
 //! Prints the paper-vs-measured markdown table and writes
 //! `paper_report.json` into the current directory.  The JSON document is
-//! an object `{"rows": [...], "cache": {...}}`: one record per
-//! reproduction row plus the counters of the CACHE row's automaton cache
-//! (hits, misses, nanoseconds spent building automata, minimization and
-//! on-the-fly search) described in `EXPERIMENTS.md` §Performance.
+//! an object with one record per reproduction row under `"rows"`, and
+//! the detail of the campaign rows:
+//!
+//! * `"cache"` — the CACHE row's automaton-cache counters (hits,
+//!   misses, nanoseconds spent building automata, minimization and
+//!   on-the-fly search);
+//! * `"sim"` — the FAULT campaign's cells;
+//! * `"serve"` — the SERVE campaign's per-pass counters;
+//! * `"CHAOS"` — the CHAOS campaign's fault rates and restart leg;
+//! * `"scale"` — the SCALE campaign's points.
+//!
+//! Exits 1 when any row fails.
 
 use pospec_alphabet::internal_of_pair;
 use pospec_bench::paper::Paper;
@@ -353,26 +361,26 @@ fn main() {
     }
 
     // SERVE — the resident service: the same pair matrix checked twice
-    // over TCP, warm pass answered from the shared automaton cache.
-    // Gated on verdict agreement and cache hits, not on timing.
+    // over TCP; the registry's pair-verdict cache answers the second
+    // pass.  Gated on verdict agreement and on each pass's counters, not
+    // on timing.
     let serve = pospec_bench::service::run();
     {
-        let ok = serve.verdicts_agree && serve.warm_dfa_hits > 0;
         rows.push(ExperimentRecord {
             id: "SERVE".into(),
-            claim: "the resident service answers warm checks from the shared cache".into(),
+            claim: "the resident service answers repeated checks from its pair-verdict cache"
+                .into(),
             measured: format!(
-                "{} pairs over TCP: cold {:.2?} (p50 {:.2?}), warm {:.2?} (p50 {:.2?}, {:.1}x); {} warm DFA hits; verdicts match in-process checker: {}",
+                "{} pairs over TCP, twice: cold pass {} automaton-cache misses, {} DFA hits; warm pass {} pair-cache hits, {} replies \"cached\": true, {} automaton-cache misses; verdicts match in-process checker: {}",
                 serve.pairs,
-                serve.cold,
-                serve.cold_p50,
-                serve.warm,
-                serve.warm_p50,
-                serve.speedup(),
-                serve.warm_dfa_hits,
+                serve.cold.misses,
+                serve.cold.dfa_hits,
+                serve.warm.pair_hits,
+                serve.warm.cached_replies,
+                serve.warm.misses,
                 serve.verdicts_agree,
             ),
-            outcome: if ok { Outcome::Reproduced } else { Outcome::Failed },
+            outcome: if serve.gates_pass() { Outcome::Reproduced } else { Outcome::Failed },
         });
     }
 

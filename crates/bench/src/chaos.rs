@@ -276,7 +276,7 @@ impl RestartSummary {
             && self.warm_dfa_hits + self.warm_lift_hits > 0
     }
 
-    /// The `"restart"` object of the report documents.
+    /// The `"restart"` object of the CHAOS report.
     pub fn to_json(&self) -> Value {
         ObjBuilder::new()
             .field("pairs", self.pairs)
@@ -500,7 +500,7 @@ fn serve_cycle(cache_dir: &Path) -> (Vec<bool>, CycleCache) {
 /// a fresh server over the same directory answering warm from disk.
 /// Write-through happens at build time, so the store survives even a
 /// `kill -9` instead of this graceful shutdown (CI exercises that path).
-pub fn run_restart(seed: u64) -> RestartSummary {
+fn run_restart(seed: u64) -> RestartSummary {
     let dir =
         std::env::temp_dir().join(format!("pospec-chaos-cache-{}-{seed:x}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

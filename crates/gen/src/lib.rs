@@ -45,7 +45,6 @@ mod family;
 mod manifest;
 mod rng;
 mod scenario;
-pub mod world;
 
 pub use family::Family;
 pub use manifest::{CompositionEntry, ExpectRefine, LintSite, Manifest, RefinementEntry};

@@ -22,8 +22,6 @@
 //!                                              long-running checking service
 //! pospec call [--addr A] <op> [args…]          one request against a server
 //! pospec lsp [--depth N] [--cache-dir DIR]     LSP server over stdio
-//! pospec bench diff <a.json> <b.json> [--threshold-pct P]
-//!                                              compare benchmark snapshots
 //! ```
 //!
 //! Exit code 0 on success / verdict "holds"; 1 on a negative verdict; 2 on
@@ -57,8 +55,7 @@ fn usage() -> ExitCode {
 check <doc> <concrete> <abstract>, compose <doc> <a> <b> [--deadlock], \
 batch_check <doc> <c a>..., lint <doc> [--deny-warnings], ping, stats, clear_cache, \
 shutdown, or a raw JSON object)\n  \
-         pospec lsp [--depth N] [--cache-dir DIR]\n  \
-         pospec bench diff <before.json> <after.json> [--threshold-pct P]"
+         pospec lsp [--depth N] [--cache-dir DIR]"
     );
     ExitCode::from(2)
 }
@@ -621,63 +618,6 @@ fn lsp_cmd(args: &[String]) -> ExitCode {
     ExitCode::from(code as u8)
 }
 
-/// `pospec bench diff`: compare two benchmark snapshot JSONs and exit 1
-/// when a time-like metric regressed past `--threshold-pct`.
-fn bench_diff_cmd(args: &[String]) -> ExitCode {
-    let threshold: f64 = match parsed_flag(args, "--threshold-pct", 5.0) {
-        Ok(v) => v,
-        Err(c) => return c,
-    };
-    let files: Vec<&String> = {
-        let mut skip = false;
-        args.iter()
-            .filter(|a| {
-                if skip {
-                    skip = false;
-                    return false;
-                }
-                if a.as_str() == "--threshold-pct" {
-                    skip = true;
-                    return false;
-                }
-                !a.starts_with("--")
-            })
-            .collect()
-    };
-    let [before_path, after_path] = files.as_slice() else {
-        eprintln!("usage: pospec bench diff <before.json> <after.json> [--threshold-pct P]");
-        return ExitCode::from(2);
-    };
-    let read = |path: &str| -> Result<pospec_json::Value, ExitCode> {
-        let text = std::fs::read_to_string(path).map_err(|e| {
-            eprintln!("error: cannot read `{path}`: {e}");
-            ExitCode::from(2)
-        })?;
-        pospec_json::parse(&text).map_err(|e| {
-            eprintln!("error: `{path}` is not valid JSON: {e}");
-            ExitCode::from(2)
-        })
-    };
-    let (before, after) = match (read(before_path), read(after_path)) {
-        (Ok(b), Ok(a)) => (b, a),
-        (Err(c), _) | (_, Err(c)) => return c,
-    };
-    let deltas = pospec::benchdiff::diff(&before, &after);
-    print!("{}", pospec::benchdiff::render(&deltas, threshold));
-    let regressed = pospec::benchdiff::regressions(&deltas, threshold);
-    if regressed.is_empty() {
-        println!("no time regressions past {threshold}%");
-        ExitCode::SUCCESS
-    } else {
-        println!(
-            "{} time regression(s) past {threshold}%: {}",
-            regressed.len(),
-            regressed.join(", ")
-        );
-        ExitCode::FAILURE
-    }
-}
-
 /// Build the request object for `pospec call` from positional words.
 fn call_request(words: &[&String], args: &[String]) -> Result<pospec_json::Value, String> {
     use pospec_json::ObjBuilder;
@@ -1011,10 +951,6 @@ fn main() -> ExitCode {
         ("serve", extra) => serve_cmd(extra),
         ("call", extra) => call_cmd(extra),
         ("lsp", extra) => lsp_cmd(extra),
-        ("bench", extra) => match extra.split_first() {
-            Some((sub, rest)) if sub == "diff" => bench_diff_cmd(rest),
-            _ => usage(),
-        },
         ("simulate", [file, extra @ ..]) => {
             let doc = match load(file) {
                 Ok(d) => d,

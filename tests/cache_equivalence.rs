@@ -9,10 +9,11 @@
 mod oracle;
 
 use oracle::eager_check_refinement;
+use pospec_bench::paper::Paper;
 use pospec_check::{Arena, SpecGen};
 use pospec_core::{
-    check_refinement_batch, check_refinement_cached, compose, is_composable, DfaCache,
-    Specification, TraceSet, Verdict,
+    check_all_pairs, check_refinement_batch, check_refinement_cached, compose, is_composable,
+    refinement_conditions, DfaCache, Specification, TraceSet, Verdict,
 };
 use pospec_trace::Trace;
 
@@ -134,4 +135,41 @@ fn failing_pairs_keep_shortest_counterexamples_under_caching() {
         failures_with_witness > 0,
         "generator should produce failing pairs with counterexamples"
     );
+}
+
+/// The cache keys regular backends by content, so specifications rebuilt
+/// from scratch (fresh `Arc`s, equal content) land on the entries the
+/// first build made.  The paper's 36-pair matrix plus a lift sweep (each
+/// abstract view lifted to every admissible concrete alphabet) runs
+/// twice through one cache, on specifications derived anew each time.
+/// The warm verdicts, counterexamples included, equal the cold ones;
+/// warm lift hits exceed lift misses; the warm pass builds less.
+#[test]
+fn rederived_specs_hit_the_cache_with_identical_verdicts() {
+    let cache = DfaCache::new();
+    let p = Paper::new();
+    let pass = || {
+        let specs = p.interface_specs();
+        let before = cache.stats();
+        let matrix = check_all_pairs(&cache, &specs, DEPTH);
+        for c in &specs {
+            for a in &specs {
+                if refinement_conditions(c, a).alphabet_ok {
+                    cache.lifted_dfa(
+                        c.universe(),
+                        a.trace_set(),
+                        a.alphabet(),
+                        c.alphabet(),
+                        DEPTH,
+                    );
+                }
+            }
+        }
+        (matrix, cache.stats().since(&before))
+    };
+    let (cold_matrix, cold) = pass();
+    let (warm_matrix, warm) = pass();
+    assert_eq!(warm_matrix, cold_matrix, "cold and warm matrices must agree");
+    assert!(warm.lift_hits > warm.lift_misses, "rebuilt lifts must mostly hit: {warm:?}");
+    assert!(warm.misses() < cold.misses(), "the warm pass must build less: {cold:?} vs {warm:?}");
 }

@@ -1,10 +1,14 @@
 //! Order-theoretic laws of the refinement relation on randomly generated
 //! specifications: reflexivity, transitivity along abstraction chains,
 //! antisymmetry up to observable equivalence, and the compatibility of
-//! composition with the order.
+//! composition with the order.  One more law on a scalable protocol:
+//! a predicate conjunct strengthens what it is conjoined to.
 
+use pospec_alphabet::{EventPattern, EventSet, UniverseBuilder};
 use pospec_check::{Arena, SpecGen};
-use pospec_core::{check_refinement, compose, observable_equiv};
+use pospec_core::{check_refinement, compose, observable_equiv, Specification, TraceSet};
+use pospec_regex::{Re, Template, VarId};
+use pospec_trace::{MethodId, Trace};
 
 const DEPTH: usize = 6;
 
@@ -101,5 +105,55 @@ fn composition_is_order_lower_bound() {
         let joint = compose(&a, &b).expect("same-object viewpoints compose");
         assert!(check_refinement(&joint, &a, DEPTH).holds(), "instance {i}: ⊑ A");
         assert!(check_refinement(&joint, &b, DEPTH).holds(), "instance {i}: ⊑ B");
+    }
+}
+
+/// A session protocol of `blocks` bracketed phases over one server,
+/// `[m0 m1* m0 | m2 m3* m2 | …]*` with a fresh caller of class `Env` per
+/// iteration, and the same protocol tightened by a length bound.  The
+/// bound lies below `DEPTH`, so the checked region holds base traces
+/// the tightened protocol refuses.
+fn protocol_and_tightened(
+    witnesses: usize,
+    n_methods: usize,
+    blocks: usize,
+) -> (Specification, Specification) {
+    let mut b = UniverseBuilder::new();
+    let env = b.object_class("Env").unwrap();
+    let server = b.object("server").unwrap();
+    let methods: Vec<MethodId> =
+        (0..n_methods).map(|i| b.method(&format!("m{i}")).unwrap()).collect();
+    b.class_witnesses(env, witnesses).unwrap();
+    b.method_witnesses(1).unwrap();
+    let u = b.freeze();
+    let alphabet = methods.iter().fold(EventSet::empty(&u), |acc, &m| {
+        acc.union(&EventPattern::call(env, server, m).to_set(&u))
+    });
+    let x = VarId(0);
+    let phases = (0..blocks).map(|i| {
+        let open = Re::lit(Template::call(x, server, methods[(2 * i) % n_methods]));
+        let body = Re::lit(Template::call(x, server, methods[(2 * i + 1) % n_methods]));
+        Re::seq([open.clone(), body.star(), open])
+    });
+    let base = TraceSet::prs(Re::alt(phases).bind(x, env).star());
+    let bound = TraceSet::predicate("length ≤ 4", |h: &Trace| h.len() <= 4);
+    let tight = TraceSet::conj([base.clone(), bound]);
+    (
+        Specification::new("Protocol", [server], alphabet.clone(), base).unwrap(),
+        Specification::new("Tight", [server], alphabet, tight).unwrap(),
+    )
+}
+
+#[test]
+fn a_predicate_conjunct_tightens_a_protocol_at_every_width_and_size() {
+    let widths = (1..=4).map(|w| (w, 6, 2));
+    let sizes = (1..=4).map(|blocks| (2, 8, blocks));
+    for (witnesses, n_methods, blocks) in widths.chain(sizes) {
+        let (base, tight) = protocol_and_tightened(witnesses, n_methods, blocks);
+        let tag = format!("{witnesses} witnesses, {n_methods} methods, {blocks} blocks");
+        let v = check_refinement(&tight, &base, DEPTH);
+        assert!(v.holds(), "{tag}: the tightened protocol refines its base ({v})");
+        let v = check_refinement(&base, &tight, DEPTH);
+        assert!(!v.holds(), "{tag}: the base does not refine the tightened protocol ({v})");
     }
 }
